@@ -68,6 +68,7 @@
 #include "metadata/provider.h"
 #include "metadata/remote.h"
 #include "net/loopback.h"
+#include "runtime/overload_governor.h"
 
 namespace pipes::bench {
 namespace {
@@ -317,14 +318,14 @@ DegradeResult RunDegradation() {
 
   // A permanently hot probe drives the governor straight into brownout; the
   // aggressive factor makes the per-item staleness caps do the limiting.
-  manager.SetPressureProbe([] { return true; });
-  OverloadControlOptions gov;
-  gov.governor_period = 50 * kMicrosPerMilli;
-  gov.ticks_to_pressure = 1;
-  gov.ticks_to_brownout = 2;
-  gov.brownout_factor = 16.0;
-  gov.default_staleness_factor = 8.0;
-  manager.EnableOverloadControl(gov);
+  OverloadControlOptions gov_opts;
+  gov_opts.governor_period = 50 * kMicrosPerMilli;
+  gov_opts.ticks_to_pressure = 1;
+  gov_opts.ticks_to_brownout = 2;
+  gov_opts.brownout_factor = 16.0;
+  gov_opts.default_staleness_factor = 8.0;
+  OverloadGovernor gov(manager, scheduler, gov_opts);
+  gov.SetPressureProbe([] { return true; });
 
   DegradeResult r;
   for (Timestamp t = kMicrosPerMilli; t <= 2 * kMicrosPerSecond;
@@ -335,11 +336,10 @@ DegradeResult RunDegradation() {
     r.unbounded_max =
         std::max(r.unbounded_max, unbounded.handler()->staleness(now));
   }
-  auto stats = manager.stats();
-  r.stretches = stats.period_stretches;
-  r.brownout_enters = stats.brownout_enters;
-  r.state = stats.pressure_state;
-  manager.DisableOverloadControl();
+  r.stretches = manager.stats().period_stretches;
+  OverloadGovernorStats gstats = gov.stats();
+  r.brownout_enters = gstats.brownout_enters;
+  r.state = static_cast<int>(gstats.state);
   return r;
 }
 
@@ -407,7 +407,7 @@ void RunOverload() {
          "staleness <= max_staleness per item through a brownout; a 1 kHz\n"
          "event storm collapses >= 10x into a bounded wave stream");
 
-  std::string json = "{\n  \"bench\": \"chaos_metadata overload (C2)\",\n";
+  std::string json = BenchJsonHeader("chaos_metadata overload (C2)");
 
   // a) saturation
   TablePrinter sat({"offered load", "submitted", "executed", "rejected",
@@ -583,7 +583,7 @@ DurabilityResult RunDurability(int items) {
     if (!manager.durability()->CheckpointNow().ok()) return r;
     r.checkpoint_ms = ElapsedMs(ckpt_start);
 
-    auto stats = manager.stats();
+    DurabilityStats stats = manager.durability()->stats();
     r.journal_records = stats.journal_records;
     r.journal_bytes = stats.journal_bytes;
     r.records_per_sec =
@@ -630,7 +630,7 @@ void RunDurabilityPhase() {
          "definitions, subscriptions, and values; recovery time stays "
          "sub-second for a 10k-item registry");
 
-  std::string json = "{\n  \"bench\": \"chaos_metadata durability (C3)\",\n";
+  std::string json = BenchJsonHeader("chaos_metadata durability (C3)");
   json += "  \"runs\": [\n";
   TablePrinter table({"items", "journal records", "journal MB", "disk MB",
                       "commit [ms]", "records/s", "checkpoint [ms]",
@@ -821,7 +821,7 @@ void RunFederationPhase() {
          "staleness bound; the partition opens the breaker; after heal the\n"
          "mirror reconciles to the latest value");
 
-  std::string json = "{\n  \"bench\": \"chaos_metadata federation (C4)\",\n";
+  std::string json = BenchJsonHeader("chaos_metadata federation (C4)");
   json += "  \"staleness_bound_ms\": 1000,\n  \"runs\": [\n";
   TablePrinter table({"loss %", "waves", "pushes sent", "applied",
                       "dup suppressed", "retries", "resyncs", "reconnects",

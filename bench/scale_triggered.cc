@@ -140,53 +140,33 @@ WaveResult MeasureWaves(int depth, uint64_t waves) {
   return r;
 }
 
-/// Pre-PR ns/wave for the same chain depths (Release, this host), measured
-/// by running this exact harness against the tree before the
-/// cached-wave-plan change (which also allocated 11/35/135/523 times per
-/// wave at depths 2/8/32/128); recorded here so BENCH_propagation.json
-/// carries its own baseline.
-double BaselineNsPerWave(int depth) {
-  switch (depth) {
-    case 2: return 539.0;
-    case 8: return 1772.0;
-    case 32: return 7435.0;
-    case 128: return 26860.0;
-    default: return 0.0;
-  }
-}
-
 void RunWaveThroughput(bool quick) {
   Banner("S4b", "steady-state propagation wave throughput",
          "cached wave plans make an unchanged-graph wave an epoch compare "
-         "plus a linear walk: zero allocations and >=2x the pre-PR waves/s");
+         "plus a linear walk: zero allocations, cost linear in chain depth");
 
   const uint64_t waves = quick ? 20000 : 200000;
-  TablePrinter table({"depth", "waves", "ns/wave", "waves/s", "allocs/wave",
-                      "baseline ns/wave", "speedup"});
-  std::string json = "{\n  \"bench\": \"scale_triggered wave throughput\",\n"
+  TablePrinter table({"depth", "waves", "ns/wave", "waves/s", "allocs/wave"});
+  std::string json = BenchJsonHeader("scale_triggered wave throughput") +
                      "  \"metric\": \"steady-state propagation waves over a "
                      "triggered chain\",\n  \"results\": [\n";
   bool first = true;
   for (int depth : {2, 8, 32, 128}) {
     WaveResult r = MeasureWaves(depth, waves);
-    double base = BaselineNsPerWave(depth);
-    double speedup = base > 0.0 ? base / r.ns_per_wave : 0.0;
     table.AddRow({TablePrinter::Fmt(uint64_t(r.depth)),
                   TablePrinter::Fmt(r.waves),
                   TablePrinter::Fmt(r.ns_per_wave, 0),
                   TablePrinter::Fmt(r.waves_per_sec, 0),
                   r.allocs_per_wave < 0 ? "n/a"
                                         : TablePrinter::Fmt(r.allocs_per_wave,
-                                                            2),
-                  TablePrinter::Fmt(base, 0), TablePrinter::Fmt(speedup, 2)});
+                                                            2)});
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
         "%s    {\"depth\": %d, \"waves\": %llu, \"ns_per_wave\": %.1f, "
-        "\"waves_per_sec\": %.0f, \"allocs_per_wave\": %.3f, "
-        "\"baseline_ns_per_wave\": %.1f, \"speedup\": %.2f}",
+        "\"waves_per_sec\": %.0f, \"allocs_per_wave\": %.3f}",
         first ? "" : ",\n", r.depth, (unsigned long long)r.waves,
-        r.ns_per_wave, r.waves_per_sec, r.allocs_per_wave, base, speedup);
+        r.ns_per_wave, r.waves_per_sec, r.allocs_per_wave);
     json += buf;
     first = false;
   }
@@ -378,14 +358,14 @@ void RunParallelWaves(bool quick) {
   TablePrinter table({"mode", "drivers", "waves", "ns/wave", "waves/s",
                       "allocs/wave", "scaling vs 1"});
   std::string json =
-      "{\n  \"bench\": \"scale_triggered parallel waves\",\n"
+      BenchJsonHeader("scale_triggered parallel waves") +
       "  \"metric\": \"aggregate concurrent propagation-wave throughput "
       "over striped wave locks\",\n";
   char head[256];
   std::snprintf(head, sizeof(head),
-                "  \"hardware_concurrency\": %u,\n  \"stripes\": %zu,\n"
-                "  \"origins\": %d,\n  \"depth\": %d,\n  \"results\": [\n",
-                hc, kParStripes, kParOrigins, kParDepth);
+                "  \"stripes\": %zu,\n  \"origins\": %d,\n  \"depth\": %d,\n"
+                "  \"results\": [\n",
+                kParStripes, kParOrigins, kParDepth);
   json += head;
   bool first = true;
   for (const char* mode : {"single_origin", "disjoint", "overlapping"}) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/table_printer.h"
 #include "costmodel/costmodel.h"
@@ -26,6 +27,28 @@ inline void Banner(const std::string& id, const std::string& title,
   std::printf("%s: %s\n", id.c_str(), title.c_str());
   std::printf("expectation: %s\n", expectation.c_str());
   std::printf("=============================================================\n");
+}
+
+#ifndef PIPES_BUILD_TYPE
+#define PIPES_BUILD_TYPE "unknown"
+#endif
+#ifndef PIPES_COMPILER
+#define PIPES_COMPILER "unknown"
+#endif
+
+/// Opens a BENCH_*.json object: the schema version, the bench name and the
+/// host the numbers were measured on (core count, build type, compiler).
+/// Numbers from one host say nothing about another, so every file carries
+/// its own host, and any baseline in it must come from the same run.
+inline std::string BenchJsonHeader(const std::string& bench) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\n  \"schema\": 2,\n  \"bench\": \"%s\",\n"
+                "  \"host\": {\"hardware_concurrency\": %u, "
+                "\"build_type\": \"%s\", \"compiler\": \"%s\"},\n",
+                bench.c_str(), std::thread::hardware_concurrency(),
+                PIPES_BUILD_TYPE, PIPES_COMPILER);
+  return buf;
 }
 
 /// The Figure 3 plan: two constant-rate sources, two time windows, a

@@ -96,14 +96,14 @@ int main() {
     std::printf("process 1: calibration=%.2f rate=%.1f avg=%.1f\n",
                 cal.GetDouble(), rate.GetDouble(), avg.GetDouble());
 
-    auto stats = manager.stats();
+    DurabilityStats stats = manager.durability()->stats();
     std::printf(
         "process 1: journal_records=%llu journal_fsyncs=%llu "
         "checkpoints=%llu generation=%llu\n\n",
         (unsigned long long)stats.journal_records,
-        (unsigned long long)stats.journal_fsyncs,
+        (unsigned long long)stats.fsyncs,
         (unsigned long long)stats.checkpoints,
-        (unsigned long long)stats.snapshot_generation);
+        (unsigned long long)stats.current_generation);
 
     // Stop journaling *before* teardown so the subscriptions and the
     // provider dying below are not recorded as a clean shutdown. On disk

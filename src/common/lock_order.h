@@ -60,6 +60,10 @@ namespace lockorder {
 /// paths that pin each constraint.
 inline constexpr int kRankQueryGraph = 100;        ///< QueryGraph::graph_mu
 inline constexpr int kRankMonitor = 150;           ///< MetadataMonitor::mu
+/// OverloadGovernor::mu — the brownout state machine. Held across the
+/// manager's cadence setter (periodic roster, handler period locks,
+/// scheduler locks) and never taken under a metadata lock.
+inline constexpr int kRankOverloadGovernor = 160;
 /// MetadataManager::durability_admin_mu — serializes Enable/DisableDurability
 /// and RecoverFrom; held while the durability layer starts (structure reads,
 /// scheduler registration), so it sits above everything metadata.
@@ -86,11 +90,11 @@ inline constexpr int kRankOperatorState = 300;     ///< MetadataProvider::state_
 /// holding no other stripe — same-class acquisitions never form validator
 /// edges, and the ascending discipline keeps them deadlock-free.
 inline constexpr int kRankWaveStripe = 350;
-/// MetadataManager::pressure_mu — the overload-control (brownout) governor
-/// state. Taken under the exclusive structure lock (periodic-handler
-/// registration in Instantiate) and held while stretching handler cadences
-/// (handler period locks, scheduler locks).
-inline constexpr int kRankPressureControl = 360;
+/// MetadataManager::periodic_mu — the periodic-handler roster and the cadence
+/// in effect. Taken under the exclusive structure lock (roster insert in
+/// Instantiate, removal in MaybeRemove) and held while stretching handler
+/// cadences (handler period locks, scheduler locks).
+inline constexpr int kRankPeriodicRoster = 360;
 inline constexpr int kRankHandlerDependents = 400; ///< MetadataHandler::dependents_mu
 inline constexpr int kRankHandlerEval = 500;       ///< MetadataHandler::eval_mu
 /// PeriodicMetadataHandler::period_mu_ — guards the mechanism task handle

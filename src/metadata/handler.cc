@@ -5,7 +5,9 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/backoff.h"
 #include "metadata/manager.h"
+#include "metadata/persistence.h"
 #include "metadata/provider.h"
 
 namespace pipes {
@@ -126,7 +128,9 @@ void MetadataHandler::Retire() {
   manager_.BumpStructureEpoch();
   // Journaled exactly once, while the owner is still alive (Retire is
   // called from the owner's registry teardown or an explicit Undefine).
-  manager_.JournalRetire(owner_, desc_->key());
+  if (MetadataDurability* d = manager_.durability()) {
+    d->OnRetire(owner_, desc_->key());
+  }
 }
 
 std::vector<MetadataHandler*> MetadataHandler::dependents() const {
@@ -241,27 +245,14 @@ void MetadataHandler::RecordFailure(Timestamp now, std::string error) {
       health_ = HandlerHealth::kDegraded;
     }
     if (health_ == HandlerHealth::kQuarantined) {
-      // Exponential backoff between retry probes, capped by the policy.
-      if (current_backoff_ <= 0) {
-        current_backoff_ = std::max<Duration>(1, policy.initial_backoff);
-      } else {
-        double next = static_cast<double>(current_backoff_) *
-                      std::max(1.0, policy.backoff_multiplier);
-        current_backoff_ = static_cast<Duration>(
-            std::min(next, static_cast<double>(policy.max_backoff)));
-      }
-      // The growth above stays deterministic; only the applied delay is
-      // jittered, so handlers quarantined by one correlated fault do not
-      // probe in lockstep (each handler's RNG is seeded from its identity).
-      Duration delay = current_backoff_;
-      double jitter = std::clamp(policy.backoff_jitter, 0.0, 1.0);
-      if (jitter > 0.0) {
-        double factor = backoff_rng_.UniformDouble(1.0 - jitter, 1.0 + jitter);
-        delay = std::max<Duration>(
-            1, static_cast<Duration>(static_cast<double>(delay) * factor));
-        delay = std::min(delay, std::max<Duration>(1, policy.max_backoff));
-      }
-      retry_at_ = now + delay;
+      // Exponential backoff between retry probes, capped by the policy; the
+      // applied delay is jittered (each handler's RNG is seeded from its
+      // identity, so runs replay).
+      current_backoff_ =
+          GrowBackoff(current_backoff_, policy.initial_backoff,
+                      policy.backoff_multiplier, policy.max_backoff);
+      retry_at_ = now + JitterBackoff(current_backoff_, policy.backoff_jitter,
+                                      policy.max_backoff, backoff_rng_);
     }
     new_health = health_;
   }
@@ -341,7 +332,9 @@ void MetadataHandler::StoreValue(MetadataValue v, Timestamp now) {
   // Journal inside value_mu_ so journal order matches publish order: the
   // last kValue record for this key is the value the slot held at the
   // crash. The hook is one atomic load when durability is off.
-  manager_.JournalValue(owner_, desc_->key(), v, now);
+  if (MetadataDurability* d = manager_.durability()) {
+    d->OnValue(owner_, desc_->key(), v, now);
+  }
 }
 
 MetadataValue MetadataHandler::LoadValue() const { return ReadSlot(); }

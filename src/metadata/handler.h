@@ -395,10 +395,10 @@ class PeriodicMetadataHandler final : public MetadataHandler {
   Duration period() const { return desc_->period(); }
 
   /// \brief Current refresh cadence: the base period, possibly stretched by
-  /// the manager's overload governor (see MetadataManager pressure states).
+  /// MetadataManager::SetPeriodicCadence (the overload governor's seam).
   ///
   /// Equal to period() when not degraded; never exceeds the descriptor's
-  /// max_staleness (or the governor's default cap) while degraded.
+  /// max_staleness (or the cadence's default cap) while degraded.
   Duration effective_period() const {
     Duration p = effective_period_.load(std::memory_order_acquire);
     return p > 0 ? p : period();
@@ -414,8 +414,8 @@ class PeriodicMetadataHandler final : public MetadataHandler {
   /// One window boundary: recompute, publish, propagate.
   void Tick(Timestamp now);
 
-  /// \brief Overload-governor hook: stretches (factor > 1) or restores
-  /// (factor <= 1) the refresh cadence.
+  /// \brief Cadence hook (MetadataManager::SetPeriodicCadence): stretches
+  /// (factor > 1) or restores (factor <= 1) the refresh cadence.
   ///
   /// The stretched period is capped by the descriptor's max_staleness — or,
   /// when that is 0, by default_cap_factor x period — so the item's
@@ -429,13 +429,15 @@ class PeriodicMetadataHandler final : public MetadataHandler {
   /// one `new_period` from now.
   void Reschedule(Duration new_period) PIPES_REQUIRES(period_mu_);
 
-  /// Guards the mechanism task handle while the overload governor swaps
+  /// Guards the mechanism task handle while the cadence setter swaps
   /// cadences (Activate/Deactivate/ApplyDegradationFactor may race).
   mutable Mutex period_mu_{"PeriodicMetadataHandler::period_mu",
                            lockorder::kRankHandlerPeriod};
   TaskHandle task_ PIPES_GUARDED_BY(period_mu_);
   /// 0 until Activate; then the cadence in effect (== the scheduled task's).
   std::atomic<Duration> effective_period_{0};
+  /// This handler's index in the manager's periodic roster.
+  size_t roster_slot_ = 0;  // pipes-analyze: unguarded(MetadataManager::periodic_mu)
 };
 
 /// \brief Handler recomputing the value when an underlying item changes

@@ -238,18 +238,6 @@ class ResolutionContextImpl final : public ResolutionContext {
 // MetadataManager
 // ---------------------------------------------------------------------------
 
-const char* PressureStateToString(PressureState s) {
-  switch (s) {
-    case PressureState::kNormal:
-      return "normal";
-    case PressureState::kPressured:
-      return "pressured";
-    case PressureState::kBrownout:
-      return "brownout";
-  }
-  return "unknown";
-}
-
 MetadataManager::MetadataManager(TaskScheduler& scheduler, size_t wave_stripes)
     : scheduler_(scheduler) {
   if (wave_stripes == 0) {
@@ -267,10 +255,6 @@ MetadataManager::MetadataManager(TaskScheduler& scheduler, size_t wave_stripes)
 MetadataManager::~MetadataManager() {
   // Stop durability first: its flush/checkpoint tasks walk manager state.
   DisableDurability();
-  // Stop the governor before members start dying; a tick scheduled but not
-  // yet run sees the cancelled handle and never fires.
-  MutexLock lock(pressure_mu_);
-  governor_task_.Cancel();
 }
 
 Result<MetadataSubscription> MetadataManager::Subscribe(
@@ -427,17 +411,18 @@ std::shared_ptr<MetadataHandler> MetadataManager::Instantiate(
   }
   handler->Activate(now);
 
-  // Periodic items register with the overload governor; one included while
-  // the manager is already degraded starts degraded too, so a brownout
-  // cannot be escaped by re-subscribing.
+  // Periodic items join the cadence roster; one included while cadences
+  // are stretched starts stretched too, so a brownout cannot be escaped by
+  // re-subscribing.
   if (entry.desc->mechanism() == UpdateMechanism::kPeriodic) {
-    MutexLock plock(pressure_mu_);
-    periodic_handlers_.push_back(handler);
-    if (overload_enabled_ && current_factor_ > 1.0) {
-      auto* ph = static_cast<PeriodicMetadataHandler*>(handler.get());
+    auto* ph = static_cast<PeriodicMetadataHandler*>(handler.get());
+    MutexLock plock(periodic_mu_);
+    ph->roster_slot_ = periodic_roster_.size();
+    periodic_roster_.push_back(handler);
+    if (cadence_factor_ > 1.0) {
       Duration before = ph->effective_period();
-      Duration after = ph->ApplyDegradationFactor(
-          current_factor_, overload_options_.default_staleness_factor);
+      Duration after =
+          ph->ApplyDegradationFactor(cadence_factor_, cadence_cap_factor_);
       if (after > before) {
         stats_period_stretches_.fetch_add(1, std::memory_order_relaxed);
         stats_stretched_now_.fetch_add(1, std::memory_order_relaxed);
@@ -520,6 +505,22 @@ void MetadataManager::MaybeRemove(
     case HandlerHealth::kHealthy:
       break;
   }
+  if (handler->mechanism() == UpdateMechanism::kPeriodic) {
+    // Swap-remove from the cadence roster: O(1), so exclusion cost does not
+    // grow with the number of periodic items ever included.
+    auto* ph = static_cast<PeriodicMetadataHandler*>(handler.get());
+    MutexLock plock(periodic_mu_);
+    const size_t slot = ph->roster_slot_;
+    assert(slot < periodic_roster_.size());
+    if (slot + 1 != periodic_roster_.size()) {
+      periodic_roster_[slot] = std::move(periodic_roster_.back());
+      if (auto moved = periodic_roster_[slot].lock()) {
+        static_cast<PeriodicMetadataHandler*>(moved.get())->roster_slot_ =
+            slot;
+      }
+    }
+    periodic_roster_.pop_back();
+  }
   stats_removed_.fetch_add(1, std::memory_order_relaxed);
   stats_active_.fetch_sub(1, std::memory_order_relaxed);
 
@@ -559,12 +560,7 @@ void MetadataManager::FireEventDeferred(MetadataProvider& provider,
     if (handler == nullptr) return;
     weak = handler;
   }
-  scheduler_.ScheduleAt(clock().Now(), [this, weak] {
-    std::shared_ptr<MetadataHandler> handler = weak.lock();
-    if (handler == nullptr || handler->retired()) return;
-    stats_events_.fetch_add(1, std::memory_order_relaxed);
-    PropagateFrom(*handler, clock().Now());
-  });
+  ScheduleWave(std::move(weak), /*count_event=*/true);
 }
 
 void MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {
@@ -576,22 +572,6 @@ void MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {
     h.RefreshFromWave(now);
   } catch (...) {
     stats_eval_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void MetadataManager::NaivePropagate(MetadataHandler& h, Timestamp now,
-                                     int depth) {
-  // Recursion bound as a safety net; the dependency graph is acyclic, but
-  // diamonds make this exponential — which is the point of the ablation.
-  if (depth > 64) return;
-  for (MetadataHandler* d : h.dependents()) {
-    if (d->mechanism() == UpdateMechanism::kTriggered) {
-      RefreshContained(*d, now);
-      stats_wave_refreshes_.fetch_add(1, std::memory_order_relaxed);
-      NaivePropagate(*d, now, depth + 1);
-    } else if (d->mechanism() == UpdateMechanism::kOnDemand) {
-      NaivePropagate(*d, now, depth + 1);
-    }
   }
 }
 
@@ -622,22 +602,22 @@ void MetadataManager::DeferWave(MetadataHandler& origin) {
   // deferring again. Under overload the scheduler may shed the task — an
   // acceptable loss, since metadata is last-writer-wins and the next event
   // from this origin propagates the same state.
-  std::weak_ptr<MetadataHandler> weak = origin.weak_from_this();
-  scheduler_.ScheduleAt(clock().Now(), [this, weak] {
+  ScheduleWave(origin.weak_from_this(), /*count_event=*/false);
+}
+
+void MetadataManager::ScheduleWave(std::weak_ptr<MetadataHandler> weak,
+                                   bool count_event) {
+  scheduler_.ScheduleAt(clock().Now(), [this, weak = std::move(weak),
+                                        count_event] {
     std::shared_ptr<MetadataHandler> h = weak.lock();
     if (h == nullptr || h->retired()) return;
+    if (count_event) stats_events_.fetch_add(1, std::memory_order_relaxed);
     PropagateFrom(*h, clock().Now());
   });
 }
 
 void MetadataManager::RunWaveLocked(MetadataHandler& origin, Timestamp now,
                                     bool can_rebuild) {
-  if (propagation_mode() == PropagationMode::kNaiveRecursive) {
-    stats_waves_.fetch_add(1, std::memory_order_relaxed);
-    NaivePropagate(origin, now, 0);
-    return;
-  }
-
   // Fast path: on an unchanged graph, a wave is one epoch compare and a
   // linear walk over the cached flattened plan — no set, no map, no Kahn
   // re-run, and zero heap allocations. Read the epoch *before* any rebuild
@@ -903,116 +883,44 @@ void MetadataManager::FlushStorm(const std::weak_ptr<MetadataHandler>& weak) {
   RunWaveLocked(*origin, now, /*can_rebuild=*/true);
 
   // A tripped origin keeps batch-refreshing on the breaker cadence; the
-  // quiet-interval branch above is the only way out.
-  if (st.breaker && storm_damping_enabled_.load(std::memory_order_relaxed)) {
+  // quiet-interval branch above is the only way out while damping is on.
+  // With damping off this was the last flush: reset the breaker, or it would
+  // still coalesce the origin's first event after re-enabling.
+  if (!st.breaker) return;
+  if (storm_damping_enabled_.load(std::memory_order_relaxed)) {
     ScheduleStormFlush(*origin, now + storm_options_.breaker_batch_interval);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Overload control (pressure governor)
-// ---------------------------------------------------------------------------
-
-void MetadataManager::EnableOverloadControl(const OverloadControlOptions& opts) {
-  MutexLock lock(pressure_mu_);
-  assert(opts.governor_period > 0 && "governor needs a positive period");
-  overload_options_ = opts;
-  governor_task_.Cancel();
-  overload_enabled_ = true;
-  governor_task_ =
-      scheduler_.SchedulePeriodic(opts.governor_period, [this] { GovernorTick(); });
-}
-
-void MetadataManager::DisableOverloadControl() {
-  MutexLock lock(pressure_mu_);
-  governor_task_.Cancel();
-  if (!overload_enabled_) return;
-  overload_enabled_ = false;
-  hot_ticks_ = 0;
-  cool_ticks_ = 0;
-  pressure_state_.store(static_cast<int>(PressureState::kNormal),
-                        std::memory_order_release);
-  if (current_factor_ != 1.0) {
-    current_factor_ = 1.0;
-    ApplyPressureFactorLocked(1.0);
-  }
-}
-
-void MetadataManager::SetPressureProbe(std::function<bool()> probe) {
-  MutexLock lock(pressure_mu_);
-  pressure_probe_ = std::move(probe);
-}
-
-void MetadataManager::GovernorTick() {
-  MutexLock lock(pressure_mu_);
-  if (!overload_enabled_) return;
-
-  bool hot = pressure_probe_ ? pressure_probe_() : scheduler_.overloaded();
-  if (hot) {
-    ++hot_ticks_;
-    cool_ticks_ = 0;
   } else {
-    ++cool_ticks_;
-    hot_ticks_ = 0;
+    st.breaker = false;
+    stats_breakers_now_.fetch_sub(1, std::memory_order_relaxed);
   }
-
-  const OverloadControlOptions& opt = overload_options_;
-  PressureState cur = pressure_state();
-  PressureState next = cur;
-  switch (cur) {
-    case PressureState::kNormal:
-      if (hot_ticks_ >= opt.ticks_to_pressure) next = PressureState::kPressured;
-      break;
-    case PressureState::kPressured:
-      if (hot_ticks_ >= opt.ticks_to_brownout) {
-        next = PressureState::kBrownout;
-      } else if (cool_ticks_ >= opt.ticks_to_recover) {
-        next = PressureState::kNormal;
-      }
-      break;
-    case PressureState::kBrownout:
-      // Recovery steps down one state at a time: brownout -> pressured ->
-      // normal, each step needing a fresh run of calm ticks.
-      if (cool_ticks_ >= opt.ticks_to_recover) next = PressureState::kPressured;
-      break;
-  }
-  if (next == cur) return;
-
-  // Tick counters restart per state, so every threshold above reads as
-  // "consecutive ticks in the current state".
-  hot_ticks_ = 0;
-  cool_ticks_ = 0;
-  pressure_state_.store(static_cast<int>(next), std::memory_order_release);
-  switch (next) {
-    case PressureState::kPressured:
-      if (cur == PressureState::kNormal) {
-        stats_pressure_enters_.fetch_add(1, std::memory_order_relaxed);
-      }
-      current_factor_ = opt.pressured_factor;
-      break;
-    case PressureState::kBrownout:
-      stats_brownout_enters_.fetch_add(1, std::memory_order_relaxed);
-      current_factor_ = opt.brownout_factor;
-      break;
-    case PressureState::kNormal:
-      stats_pressure_exits_.fetch_add(1, std::memory_order_relaxed);
-      current_factor_ = 1.0;
-      break;
-  }
-  ApplyPressureFactorLocked(current_factor_);
 }
 
-void MetadataManager::ApplyPressureFactorLocked(double factor) {
-  const double cap = overload_options_.default_staleness_factor;
+// ---------------------------------------------------------------------------
+// Periodic cadence
+// ---------------------------------------------------------------------------
+
+void MetadataManager::SetPeriodicCadence(double factor,
+                                         double staleness_cap_factor) {
+  MutexLock lock(periodic_mu_);
+  cadence_factor_ = factor;
+  cadence_cap_factor_ = staleness_cap_factor;
+  ApplyCadenceLocked();
+}
+
+size_t MetadataManager::periodic_roster_size() const {
+  MutexLock lock(periodic_mu_);
+  return periodic_roster_.size();
+}
+
+void MetadataManager::ApplyCadenceLocked() {
   uint64_t stretched = 0;
-  size_t live = 0;
-  for (size_t i = 0; i < periodic_handlers_.size(); ++i) {
-    std::shared_ptr<MetadataHandler> h = periodic_handlers_[i].lock();
+  for (const std::weak_ptr<MetadataHandler>& weak : periodic_roster_) {
+    std::shared_ptr<MetadataHandler> h = weak.lock();
     if (h == nullptr || h->retired()) continue;
-    periodic_handlers_[live++] = periodic_handlers_[i];
     auto* ph = static_cast<PeriodicMetadataHandler*>(h.get());
     Duration before = ph->effective_period();
-    Duration after = ph->ApplyDegradationFactor(factor, cap);
+    Duration after =
+        ph->ApplyDegradationFactor(cadence_factor_, cadence_cap_factor_);
     if (after > before) {
       stats_period_stretches_.fetch_add(1, std::memory_order_relaxed);
     } else if (after < before) {
@@ -1020,7 +928,6 @@ void MetadataManager::ApplyPressureFactorLocked(double factor) {
     }
     if (after > ph->period()) ++stretched;
   }
-  periodic_handlers_.resize(live);
   stats_stretched_now_.store(stretched, std::memory_order_relaxed);
 }
 
@@ -1048,10 +955,6 @@ MetadataManagerStats MetadataManager::stats() const {
   s.degraded_handlers = stats_degraded_now_.load(std::memory_order_relaxed);
   s.quarantined_handlers =
       stats_quarantined_now_.load(std::memory_order_relaxed);
-  s.pressure_state = pressure_state_.load(std::memory_order_relaxed);
-  s.pressure_enters = stats_pressure_enters_.load(std::memory_order_relaxed);
-  s.brownout_enters = stats_brownout_enters_.load(std::memory_order_relaxed);
-  s.pressure_exits = stats_pressure_exits_.load(std::memory_order_relaxed);
   s.periods_stretched = stats_stretched_now_.load(std::memory_order_relaxed);
   s.period_stretches = stats_period_stretches_.load(std::memory_order_relaxed);
   s.period_restores = stats_period_restores_.load(std::memory_order_relaxed);
@@ -1059,31 +962,6 @@ MetadataManagerStats MetadataManager::stats() const {
   s.storm_flushes = stats_storm_flushes_.load(std::memory_order_relaxed);
   s.breaker_trips = stats_breaker_trips_.load(std::memory_order_relaxed);
   s.breakers_active = stats_breakers_now_.load(std::memory_order_relaxed);
-  SchedulerStats sched = scheduler_.stats();
-  s.scheduler_deadline_misses = sched.deadline_misses;
-  s.scheduler_rejections = sched.tasks_rejected;
-  s.scheduler_overloaded = sched.overloaded;
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    DurabilityStats ds = d->stats();
-    s.durability_enabled = true;
-    s.journal_records = ds.journal_records;
-    s.journal_bytes = ds.journal_bytes;
-    s.journal_fsyncs = ds.fsyncs;
-    s.group_flushes = ds.group_flushes;
-    s.checkpoints = ds.checkpoints;
-    s.snapshot_generation = ds.current_generation;
-    s.last_checkpoint_duration = ds.last_checkpoint_duration;
-    s.journal_write_failures = ds.journal_write_failures;
-    s.checkpoint_failures = ds.checkpoint_failures;
-    s.durability_degraded = ds.degraded;
-  }
-  s.last_recovery_duration =
-      stats_recovery_duration_.load(std::memory_order_relaxed);
-  s.values_recovered = stats_values_recovered_.load(std::memory_order_relaxed);
-  s.corrupt_records_skipped =
-      stats_corrupt_skipped_.load(std::memory_order_relaxed);
-  s.torn_bytes_truncated =
-      stats_torn_truncated_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -1103,7 +981,7 @@ Status MetadataManager::EnableDurability(
   if (!started.ok()) return started;
   for (MetadataProvider* p : providers) {
     if (p == nullptr) continue;
-    // Attach so the provider's teardown reaches NotifyProviderTeardown —
+    // Attach so the provider's teardown reaches OnProviderTeardown —
     // the roster must never hold a pointer to a silently-dead provider.
     if (p->metadata_manager() == nullptr) p->AttachMetadataManager(this);
     engine->RegisterProvider(p);
@@ -1144,71 +1022,13 @@ Result<RecoveryReport> MetadataManager::RecoverFrom(
     return Status::FailedPrecondition(
         "disable durability before recovering (recover first, then enable)");
   }
-  Result<RecoveryReport> result =
-      MetadataDurability::Recover(*this, dir, providers);
-  if (result.ok()) {
-    const RecoveryReport& r = result.value();
-    stats_recovery_duration_.store(r.recovery_duration,
-                                   std::memory_order_relaxed);
-    stats_values_recovered_.store(r.values_restored, std::memory_order_relaxed);
-    stats_corrupt_skipped_.store(r.corrupt_records_skipped,
-                                 std::memory_order_relaxed);
-    stats_torn_truncated_.store(r.torn_bytes_truncated,
-                                std::memory_order_relaxed);
-  }
-  return result;
-}
-
-void MetadataManager::JournalDefine(const MetadataProvider& provider,
-                                    const MetadataDescriptor& desc) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnDefine(provider, desc);
-  }
-}
-
-void MetadataManager::JournalUndefine(const MetadataProvider& provider,
-                                      const MetadataKey& key) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnUndefine(provider, key);
-  }
-}
-
-void MetadataManager::JournalValue(const MetadataProvider& provider,
-                                   const MetadataKey& key,
-                                   const MetadataValue& value, Timestamp now) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnValue(provider, key, value, now);
-  }
-}
-
-void MetadataManager::JournalRetire(const MetadataProvider& provider,
-                                    const MetadataKey& key) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnRetire(provider, key);
-  }
-}
-
-void MetadataManager::RegisterDurabilityProvider(
-    const MetadataProvider& provider) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->RegisterProvider(&provider);
-  }
-}
-
-void MetadataManager::NotifyProviderTeardown(const MetadataProvider& provider) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnProviderTeardown(provider);
-  }
+  return MetadataDurability::Recover(*this, dir, providers);
 }
 
 void MetadataManager::InjectRecoveredValue(MetadataHandler& handler,
                                            const MetadataValue& v,
                                            Timestamp ts) {
   handler.StoreValue(v, ts);
-}
-
-MetadataValue MetadataManager::LoadHandlerValue(const MetadataHandler& handler) {
-  return handler.LoadValue();
 }
 
 }  // namespace pipes

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -101,11 +100,7 @@ struct MetadataManagerStats {
   uint64_t degraded_handlers = 0;    ///< currently kDegraded (gauge)
   uint64_t quarantined_handlers = 0; ///< currently kQuarantined (gauge)
 
-  // Overload control (pressure governor; see EnableOverloadControl).
-  int pressure_state = 0;          ///< current PressureState (gauge)
-  uint64_t pressure_enters = 0;    ///< transitions kNormal -> kPressured
-  uint64_t brownout_enters = 0;    ///< transitions into kBrownout
-  uint64_t pressure_exits = 0;     ///< full recoveries back to kNormal
+  // Periodic cadence (see SetPeriodicCadence).
   uint64_t periods_stretched = 0;  ///< periodic items currently degraded (gauge)
   uint64_t period_stretches = 0;   ///< cadence-stretch applications
   uint64_t period_restores = 0;    ///< cadence-restore applications
@@ -115,84 +110,6 @@ struct MetadataManagerStats {
   uint64_t storm_flushes = 0;      ///< coalesced-wave flushes executed
   uint64_t breaker_trips = 0;      ///< origins converted to batch refresh
   uint64_t breakers_active = 0;    ///< origins currently batch-refreshing (gauge)
-
-  // Mirrors of the scheduler's overload accounting, so one snapshot shows
-  // the whole degradation picture (see SchedulerStats for semantics).
-  uint64_t scheduler_deadline_misses = 0;
-  uint64_t scheduler_rejections = 0;
-  bool scheduler_overloaded = false;
-
-  // Durability (journal/checkpoint/recovery; see EnableDurability and
-  // persistence.h). All zero while durability is off and no recovery ran.
-  bool durability_enabled = false;
-  uint64_t journal_records = 0;     ///< records appended to the journal
-  uint64_t journal_bytes = 0;       ///< frame bytes appended
-  uint64_t journal_fsyncs = 0;
-  uint64_t group_flushes = 0;       ///< commit-buffer pushes to disk
-  uint64_t checkpoints = 0;         ///< snapshot generations written
-  uint64_t snapshot_generation = 0; ///< current generation (gauge)
-  Duration last_checkpoint_duration = 0;
-  uint64_t journal_write_failures = 0;  ///< append/flush errors (see below)
-  uint64_t checkpoint_failures = 0;     ///< failed CheckpointNow runs
-  /// Latched true on the first journal/checkpoint IO failure: acknowledged
-  /// mutations may no longer be durable (disk full, rotation failed, ...).
-  bool durability_degraded = false;
-  Duration last_recovery_duration = 0;   ///< set by RecoverFrom
-  uint64_t values_recovered = 0;         ///< set by RecoverFrom
-  uint64_t corrupt_records_skipped = 0;  ///< CRC-failed records at recovery
-  uint64_t torn_bytes_truncated = 0;     ///< torn journal tails removed
-};
-
-/// How update-propagation waves refresh dependent handlers.
-enum class PropagationMode {
-  /// The paper's design (§3.2.3): collect the affected closure and refresh
-  /// in topological (dependencies-first) order, each handler at most once.
-  kTopological,
-  /// Ablation baseline: recurse into dependents immediately per update.
-  /// Diamond shapes refresh handlers multiple times per wave ("glitches"),
-  /// possibly with inconsistent inputs.
-  kNaiveRecursive,
-};
-
-/// \brief Pressure state of the manager's overload governor — a brownout
-/// state machine in the style of the handler health machine
-/// (kHealthy -> kDegraded -> kQuarantined).
-///
-/// kNormal: maintenance runs at declared cadences. kPressured: the scheduler
-/// reported sustained overload; periodic cadences are stretched by a first,
-/// moderate factor. kBrownout: overload persisted; cadences are stretched
-/// deeper — but never beyond each item's staleness bound, so consumers keep
-/// a predictable freshness floor. Transitions are hysteretic (consecutive
-/// governor ticks, not instantaneous signals) and recovery steps down one
-/// state at a time.
-enum class PressureState {
-  kNormal = 0,
-  kPressured = 1,
-  kBrownout = 2,
-};
-
-/// Human-readable name of a pressure state.
-const char* PressureStateToString(PressureState s);
-
-/// \brief Tuning of the overload governor (see
-/// MetadataManager::EnableOverloadControl).
-struct OverloadControlOptions {
-  /// Cadence of the governor's pressure evaluation.
-  Duration governor_period = 100 * kMicrosPerMilli;
-  /// Period-stretch factor applied in kPressured.
-  double pressured_factor = 2.0;
-  /// Period-stretch factor applied in kBrownout.
-  double brownout_factor = 4.0;
-  /// Consecutive overloaded ticks in kNormal before entering kPressured.
-  int ticks_to_pressure = 2;
-  /// Consecutive overloaded ticks in kPressured before entering kBrownout.
-  int ticks_to_brownout = 4;
-  /// Consecutive calm ticks before stepping one state toward kNormal
-  /// (hysteresis: recovery is gradual, re-entry needs fresh evidence).
-  int ticks_to_recover = 3;
-  /// Staleness cap for items without an explicit WithMaxStaleness bound:
-  /// the stretched period never exceeds this multiple of the base period.
-  double default_staleness_factor = 8.0;
 };
 
 /// \brief Tuning of triggered-wave storm damping (see
@@ -269,40 +186,20 @@ class MetadataManager {
     return structure_mu_;
   }
 
-  /// Selects the propagation algorithm (default kTopological). The naive
-  /// mode exists for the ablation bench; production code should not use it.
-  /// Atomic so a configuration flip never tears against an in-flight wave.
-  void set_propagation_mode(PropagationMode mode) {
-    propagation_mode_.store(mode, std::memory_order_relaxed);
-  }
-  PropagationMode propagation_mode() const {
-    return propagation_mode_.load(std::memory_order_relaxed);
-  }
-
-  /// \name Overload control (pressure governor)
+  /// \brief Stretches every included periodic item's refresh cadence by
+  /// `factor`, or restores the base periods at `factor` <= 1.
   ///
-  /// Arms a periodic governor that watches the scheduler's hysteretic
-  /// overload signal (or an injected probe) and drives the
-  /// kNormal -> kPressured -> kBrownout state machine: under sustained
-  /// pressure every periodic item's refresh cadence is stretched by the
-  /// state's factor, bounded per item by its WithMaxStaleness declaration
-  /// (or default_staleness_factor x period), and restored the same way when
-  /// pressure clears. Off by default.
-  ///@{
-  void EnableOverloadControl(const OverloadControlOptions& opts = {});
-  /// Cancels the governor and restores all cadences to their base periods.
-  void DisableOverloadControl();
-  /// Current state of the pressure machine (kNormal while control is off).
-  PressureState pressure_state() const {
-    return static_cast<PressureState>(
-        pressure_state_.load(std::memory_order_acquire));
-  }
-  /// \brief Test seam: replaces the governor's overload input with `probe`
-  /// (called once per governor tick; true = overloaded). Pass nullptr to
-  /// return to the scheduler signal. Deterministic tests under
-  /// VirtualTimeScheduler need this — virtual time has no natural lateness.
-  void SetPressureProbe(std::function<bool()> probe);
-  ///@}
+  /// Each stretched period is capped by the item's WithMaxStaleness bound
+  /// or, without one, by `staleness_cap_factor` x its base period, so
+  /// consumers keep a predictable freshness floor. Items included later
+  /// start at the cadence in effect, so a stretch cannot be escaped by
+  /// re-subscribing. The overload-control seam: OverloadGovernor
+  /// (runtime/overload_governor.h) calls it on pressure transitions.
+  void SetPeriodicCadence(double factor, double staleness_cap_factor);
+
+  /// Number of periodic handlers the cadence setter reaches (the included
+  /// periodic items, retired ones until their exclusion).
+  size_t periodic_roster_size() const;
 
   /// \name Triggered-wave storm damping
   ///
@@ -330,7 +227,9 @@ class MetadataManager {
   /// immediately: recovered values appear as last-known-good with real
   /// staleness; items whose evaluators are not yet re-defined come back as
   /// shells degrading through the fault-containment path. Off by default —
-  /// the journal hooks then cost one atomic load each. See persistence.h.
+  /// the journal hooks then cost one atomic load each: registries, handlers
+  /// and providers call MetadataDurability's On* hooks through durability().
+  /// See persistence.h.
   ///@{
   /// Starts journaling into `config.dir` and checkpoints the current state.
   /// `providers` seeds the checkpoint roster with providers whose items
@@ -359,24 +258,6 @@ class MetadataManager {
   Result<RecoveryReport> RecoverFrom(
       const std::string& dir, const std::vector<MetadataProvider*>& providers);
 
-  /// \name Journal hooks (internal; called by registries and handlers)
-  /// One acquire load + null check when durability is off.
-  ///@{
-  void JournalDefine(const MetadataProvider& provider,
-                     const MetadataDescriptor& desc);
-  void JournalUndefine(const MetadataProvider& provider,
-                       const MetadataKey& key);
-  void JournalValue(const MetadataProvider& provider, const MetadataKey& key,
-                    const MetadataValue& value, Timestamp now);
-  void JournalRetire(const MetadataProvider& provider, const MetadataKey& key);
-  /// Adds `provider` to the durability checkpoint roster. Called by
-  /// registries *before* taking the registry lock (the roster lock ranks
-  /// below it); no-op while durability is off.
-  void RegisterDurabilityProvider(const MetadataProvider& provider);
-  /// Called by ~MetadataProvider: drops the provider from the checkpoint
-  /// roster and records it gone (its items will not be recovered).
-  void NotifyProviderTeardown(const MetadataProvider& provider);
-  ///@}
   ///@}
 
   /// Snapshot of activity counters.
@@ -392,7 +273,7 @@ class MetadataManager {
   /// it to extract the system's served state for comparison against its
   /// reference model without side effects.
   static MetadataValue PeekValue(const MetadataHandler& handler) {
-    return LoadHandlerValue(handler);
+    return handler.LoadValue();
   }
 
   /// Number of currently included items across all providers.
@@ -476,14 +357,11 @@ class MetadataManager {
   void MaybeRemove(const std::shared_ptr<MetadataHandler>& handler)
       PIPES_REQUIRES(structure_mu_);
 
-  /// Refreshes `h`'s dependents depth-first without deduplication.
-  void NaivePropagate(MetadataHandler& h, Timestamp now, int depth);
-
   /// Refreshes one handler in a wave with exception containment, so a
   /// faulting refresh cannot abort the wave.
   void RefreshContained(MetadataHandler& h, Timestamp now);
 
-  /// \brief Runs the wave proper (post-admission): naive or planned refresh
+  /// \brief Runs the wave proper (post-admission): the planned refresh
   /// walk. Caller holds at least a shared structure lock and the origin's
   /// wave stripe (a dynamic capability Clang TSA cannot express; the runtime
   /// lock-order validator covers the discipline instead).
@@ -527,23 +405,19 @@ class MetadataManager {
   /// overload contract.
   void DeferWave(MetadataHandler& origin);
 
-  /// One governor tick: sample the pressure signal, advance the state
-  /// machine, apply/restore cadence factors on transitions.
-  void GovernorTick();
+  /// Schedules a top-level wave from `weak` at the current time; dropped if
+  /// the handler is gone or retired by then. `count_event` counts it as a
+  /// fired event.
+  void ScheduleWave(std::weak_ptr<MetadataHandler> weak, bool count_event);
 
-  /// Applies `factor` to every live registered periodic handler (pruning
-  /// dead ones) and refreshes the stretched-items gauge.
-  void ApplyPressureFactorLocked(double factor) PIPES_REQUIRES(pressure_mu_);
+  /// Applies the current cadence to every live periodic handler in the
+  /// roster and refreshes the stretched-items gauge.
+  void ApplyCadenceLocked() PIPES_REQUIRES(periodic_mu_);
 
   /// Recovery-time value injection: publishes `v` with update time `ts` as
   /// `handler`'s last-known-good value without invoking its evaluator.
   void InjectRecoveredValue(MetadataHandler& handler, const MetadataValue& v,
                             Timestamp ts);
-
-  /// Checkpoint-time value read: the handler's stored value (lock-free slot
-  /// read; never invokes the evaluator, unlike Get()). Used by the
-  /// durability engine through its friendship with this class.
-  static MetadataValue LoadHandlerValue(const MetadataHandler& handler);
 
   /// \brief Rebuilds `origin`'s cached wave plan against `epoch`.
   ///
@@ -611,9 +485,6 @@ class MetadataManager {
   /// counter — none today — stay well-defined).
   std::atomic<uint64_t> stripe_seq_{0};
 
-  std::atomic<PropagationMode> propagation_mode_{
-      PropagationMode::kTopological};
-
   /// Current structure epoch; see BumpStructureEpoch().
   std::atomic<uint64_t> structure_epoch_{1};
 
@@ -624,28 +495,21 @@ class MetadataManager {
   /// all-stripes rebuild discipline).
   std::atomic<uint64_t> wave_stamp_{0};
 
-  /// \name Overload-governor state
+  /// \name Periodic-handler roster (see SetPeriodicCadence)
   ///
-  /// `pressure_mu_` ranks between the propagation and handler-dependents
-  /// locks: it is taken under the exclusive structure lock (periodic-handler
-  /// registration in Instantiate) and held while stretching handler cadences
-  /// (handler period locks, scheduler locks).
+  /// `periodic_mu_` is taken under the exclusive structure lock (roster
+  /// insert in Instantiate, removal in MaybeRemove) and held while applying
+  /// a cadence (handler period locks, scheduler locks).
   ///@{
-  mutable Mutex pressure_mu_{"MetadataManager::pressure_mu",
-                             lockorder::kRankPressureControl};
-  OverloadControlOptions overload_options_ PIPES_GUARDED_BY(pressure_mu_);
-  bool overload_enabled_ PIPES_GUARDED_BY(pressure_mu_) = false;
-  std::function<bool()> pressure_probe_ PIPES_GUARDED_BY(pressure_mu_);
-  TaskHandle governor_task_ PIPES_GUARDED_BY(pressure_mu_);
-  int hot_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
-  int cool_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
-  double current_factor_ PIPES_GUARDED_BY(pressure_mu_) = 1.0;
-  /// Every included periodic handler, for cadence stretching. Weak: the
-  /// governor must never extend handler lifetime past exclusion.
-  std::vector<std::weak_ptr<MetadataHandler>> periodic_handlers_
-      PIPES_GUARDED_BY(pressure_mu_);
-  /// Atomic mirror of the machine state so pressure_state() is lock-free.
-  std::atomic<int> pressure_state_{0};
+  mutable Mutex periodic_mu_{"MetadataManager::periodic_mu",
+                             lockorder::kRankPeriodicRoster};
+  double cadence_factor_ PIPES_GUARDED_BY(periodic_mu_) = 1.0;
+  double cadence_cap_factor_ PIPES_GUARDED_BY(periodic_mu_) = 1.0;
+  /// Every included periodic handler; each knows its slot
+  /// (PeriodicMetadataHandler::roster_slot_), so removal is a swap with the
+  /// last entry. Weak: the roster never extends a handler's lifetime.
+  std::vector<std::weak_ptr<MetadataHandler>> periodic_roster_
+      PIPES_GUARDED_BY(periodic_mu_);
   ///@}
 
   /// Storm damping switch. Atomic so the undamped fast path is one relaxed
@@ -677,9 +541,6 @@ class MetadataManager {
   std::atomic<uint64_t> stats_recoveries_{0};
   std::atomic<uint64_t> stats_degraded_now_{0};
   std::atomic<uint64_t> stats_quarantined_now_{0};
-  std::atomic<uint64_t> stats_pressure_enters_{0};
-  std::atomic<uint64_t> stats_brownout_enters_{0};
-  std::atomic<uint64_t> stats_pressure_exits_{0};
   std::atomic<uint64_t> stats_period_stretches_{0};
   std::atomic<uint64_t> stats_period_restores_{0};
   std::atomic<uint64_t> stats_stretched_now_{0};
@@ -703,10 +564,6 @@ class MetadataManager {
   std::vector<std::unique_ptr<MetadataDurability>> durability_graveyard_
       PIPES_GUARDED_BY(durability_admin_mu_);
   std::atomic<MetadataDurability*> durability_{nullptr};
-  std::atomic<Duration> stats_recovery_duration_{0};
-  std::atomic<uint64_t> stats_values_recovered_{0};
-  std::atomic<uint64_t> stats_corrupt_skipped_{0};
-  std::atomic<uint64_t> stats_torn_truncated_{0};
   ///@}
 };
 

@@ -588,7 +588,7 @@ Status MetadataDurability::CheckpointLocked(Timestamp t0) {
                                watermark, body);
           ++record_count;
         }
-        MetadataValue value = MetadataManager::LoadHandlerValue(*handler);
+        MetadataValue value = MetadataManager::PeekValue(*handler);
         Timestamp updated = handler->last_updated();
         if (!value.is_null() && updated != kTimestampNever) {
           RecordEncoder body;
@@ -1000,7 +1000,7 @@ Result<RecoveryReport> MetadataDurability::Recover(
       std::shared_ptr<MetadataHandler> handler =
           provider->metadata_registry().GetHandler(key);
       if (handler == nullptr) continue;
-      if (!MetadataManager::LoadHandlerValue(*handler).is_null()) continue;
+      if (!MetadataManager::PeekValue(*handler).is_null()) continue;
       Timestamp ts = manager.clock().FromWallMicros(item.wall_ts);
       manager.InjectRecoveredValue(*handler, item.value, ts);
       report.values_restored += 1;

@@ -138,8 +138,8 @@ struct DurabilityConfig {
   int snapshot_generations_kept = 2;
 };
 
-/// \brief Counters of the durability layer (merged into
-/// MetadataManagerStats by MetadataManager::stats()).
+/// \brief Counters of the durability layer (read through
+/// `manager.durability()->stats()`).
 struct DurabilityStats {
   uint64_t journal_records = 0;  ///< records appended
   uint64_t journal_bytes = 0;    ///< frame bytes appended
@@ -199,8 +199,9 @@ class RecoveryPendingError : public std::runtime_error {
 /// EnableDurability is active.
 ///
 /// Journal hooks (OnDefine/OnSubscribe/OnValue/...) are called by the
-/// manager, registry, and handlers through the manager's inline dispatch;
-/// when durability is off they cost one atomic load. All hooks are cheap:
+/// manager, registries, handlers and providers through
+/// MetadataManager::durability(); when durability is off they cost one
+/// atomic load. All hooks are cheap:
 /// encode + stage under the journal lock; disk IO happens per the fsync
 /// policy (inline for kEveryRecord, on the flush task for kInterval).
 ///
@@ -227,7 +228,7 @@ class MetadataDurability {
   /// Cancels tasks and flushes + closes the journal (with fsync). Idempotent.
   void Stop();
 
-  /// \name Journal hooks (dispatched by MetadataManager)
+  /// \name Journal hooks (reached through MetadataManager::durability())
   ///@{
   void OnDefine(const MetadataProvider& provider,
                 const MetadataDescriptor& desc);
@@ -312,8 +313,8 @@ class MetadataDurability {
 
   /// The checkpoint roster: every provider that ever journaled through this
   /// instance, by label. The checkpoint gather holds this mutex for the
-  /// whole roster walk: ~MetadataProvider calls NotifyProviderTeardown ->
-  /// OnProviderTeardown (which acquires it) from its destructor *body*, and
+  /// whole roster walk: ~MetadataProvider calls OnProviderTeardown (which
+  /// acquires it) from its destructor *body*, and
   /// the provider's registry is a base-class member destroyed only after
   /// that body returns — so a dying provider blocks here until the gather
   /// finishes, and every roster pointer stays valid while the lock is held.

@@ -1,6 +1,7 @@
 #include "metadata/provider.h"
 
 #include "metadata/manager.h"
+#include "metadata/persistence.h"
 
 namespace pipes {
 
@@ -23,7 +24,7 @@ MetadataProvider::~MetadataProvider() {
   // not resurrect its items. Planned shutdowns that want the state preserved
   // call DisableDurability() before tearing providers down.
   if (MetadataManager* mgr = metadata_manager()) {
-    mgr->NotifyProviderTeardown(*this);
+    if (MetadataDurability* d = mgr->durability()) d->OnProviderTeardown(*this);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "metadata/handler.h"
 #include "metadata/manager.h"
+#include "metadata/persistence.h"
 
 namespace pipes {
 
@@ -17,26 +18,23 @@ void MetadataRegistry::BumpManagerEpoch() {
   }
 }
 
+MetadataDurability* MetadataRegistry::Durability() const {
+  if (owner_ == nullptr) return nullptr;
+  MetadataManager* m = manager_.load(std::memory_order_acquire);
+  return m != nullptr ? m->durability() : nullptr;
+}
+
 void MetadataRegistry::JournalDefine(
     const std::shared_ptr<const MetadataDescriptor>& stored) {
-  if (owner_ == nullptr) return;
-  if (MetadataManager* m = manager_.load(std::memory_order_acquire)) {
-    m->JournalDefine(*owner_, *stored);
-  }
+  if (MetadataDurability* d = Durability()) d->OnDefine(*owner_, *stored);
 }
 
 void MetadataRegistry::JournalUndefine(const MetadataKey& key) {
-  if (owner_ == nullptr) return;
-  if (MetadataManager* m = manager_.load(std::memory_order_acquire)) {
-    m->JournalUndefine(*owner_, key);
-  }
+  if (MetadataDurability* d = Durability()) d->OnUndefine(*owner_, key);
 }
 
 void MetadataRegistry::PreRegisterForJournal() {
-  if (owner_ == nullptr) return;
-  if (MetadataManager* m = manager_.load(std::memory_order_acquire)) {
-    m->RegisterDurabilityProvider(*owner_);
-  }
+  if (MetadataDurability* d = Durability()) d->RegisterProvider(owner_);
 }
 
 Status MetadataRegistry::Define(MetadataDescriptor desc) {

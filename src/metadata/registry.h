@@ -23,6 +23,7 @@ namespace pipes {
 
 class MetadataHandler;
 class MetadataManager;
+class MetadataDurability;
 class MetadataProvider;
 
 /// \brief Holds the metadata descriptors (available items) and the active
@@ -103,6 +104,10 @@ class MetadataRegistry {
  private:
   /// Bumps the attached manager's structure epoch (no-op before attachment).
   void BumpManagerEpoch();
+
+  /// The attached manager's durability engine (nullptr while durability is
+  /// off or no manager and owner are attached).
+  MetadataDurability* Durability() const;
 
   /// Journals a (re)definition / undefinition through the attached manager.
   /// Called *under* mu_, immediately after the map mutation, so the

@@ -4,22 +4,11 @@
 #include <limits>
 #include <utility>
 
+#include "common/backoff.h"
 #include "common/journal.h"
 #include "metadata/persistence.h"
 
 namespace pipes {
-
-namespace {
-
-/// Grows a backoff delay by `multiplier`, capped at `max`.
-Duration GrowBackoff(Duration current, double multiplier, Duration max) {
-  if (current <= 0) return 1;
-  double next = static_cast<double>(current) * std::max(1.0, multiplier);
-  return static_cast<Duration>(
-      std::min(next, static_cast<double>(std::max<Duration>(1, max))));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // RemoteMetadataProvider
@@ -302,8 +291,9 @@ void RemoteMetadataProvider::RetrySubscribe(const MetadataKey& key,
   MirrorState& m = it->second;
   if (!m.pending || m.attempt != attempt) return;
   ++stats_retries_;
-  m.retry_backoff = GrowBackoff(m.retry_backoff, options_.backoff_multiplier,
-                                options_.max_backoff);
+  m.retry_backoff =
+      GrowBackoff(m.retry_backoff, options_.initial_backoff,
+                  options_.backoff_multiplier, options_.max_backoff);
   SendSubscribeLocked(m);
 }
 
@@ -394,8 +384,9 @@ void RemoteMetadataProvider::ProbeTick() {
 
   MutexLock lock(fed_mu_);
   if (closed_ || health_ != HandlerHealth::kQuarantined) return;
-  probe_backoff_ = GrowBackoff(probe_backoff_, options_.backoff_multiplier,
-                               options_.max_backoff);
+  probe_backoff_ =
+      GrowBackoff(probe_backoff_, options_.initial_backoff,
+                  options_.backoff_multiplier, options_.max_backoff);
   ScheduleProbeLocked();
 }
 
@@ -405,11 +396,7 @@ void RemoteMetadataProvider::ScheduleProbeLocked() {
 }
 
 Duration RemoteMetadataProvider::JitteredLocked(Duration d) {
-  double j = std::clamp(options_.backoff_jitter, 0.0, 1.0);
-  if (j <= 0.0 || d <= 0) return std::max<Duration>(d, 1);
-  double factor = rng_.UniformDouble(1.0 - j, 1.0 + j);
-  return std::max<Duration>(
-      1, static_cast<Duration>(static_cast<double>(d) * factor));
+  return JitterBackoff(d, options_.backoff_jitter, options_.max_backoff, rng_);
 }
 
 // ---------------------------------------------------------------------------

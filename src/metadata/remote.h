@@ -77,7 +77,8 @@ struct FederationOptions {
   Duration request_timeout = 20 * kMicrosPerMilli;
   /// Retry/probe backoff: initial delay, growth factor, ceiling, and the
   /// ± jitter fraction applied to every delay (decorrelates peers that
-  /// quarantined on the same fault).
+  /// quarantined on the same fault). A jittered delay never exceeds the
+  /// ceiling (see common/backoff.h).
   Duration initial_backoff = 10 * kMicrosPerMilli;
   double backoff_multiplier = 2.0;
   Duration max_backoff = kMicrosPerSecond;
@@ -211,7 +212,8 @@ class RemoteMetadataProvider : public MetadataProvider {
   void ProbeTick();
   void ScheduleProbeLocked() PIPES_REQUIRES(fed_mu_);
 
-  /// `d` ± the configured jitter fraction (floor 1 µs).
+  /// `d` ± the configured jitter fraction (floor 1 µs, ceiling
+  /// max_backoff).
   Duration JitteredLocked(Duration d) PIPES_REQUIRES(fed_mu_);
 
   MetadataManager& manager_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "runtime/overload_governor.h"
+
 namespace pipes {
 
 LoadShedder::LoadShedder(MetadataManager& manager, TaskScheduler& scheduler,
@@ -27,6 +29,10 @@ Status LoadShedder::MonitorQos(SinkNode& sink) {
   qos_.push_back(
       QosWatch{std::move(latency.value()), std::move(limit.value())});
   return Status::OK();
+}
+
+void LoadShedder::WatchPressure(const OverloadGovernor& governor) {
+  pressure_ = &governor;
 }
 
 void LoadShedder::AddShedPoint(RandomDropOperator& drop) {
@@ -63,7 +69,8 @@ void LoadShedder::ControlStep() {
   // Metadata pressure as a third raise signal: brownout raises the drop
   // probability, and any non-normal state suppresses relaxation — shedding
   // must not unwind while the metadata layer is still degraded.
-  PressureState pressure = manager_.pressure_state();
+  PressureState pressure =
+      pressure_ != nullptr ? pressure_->state() : PressureState::kNormal;
   bool pressure_raises = options_.pressure_step > 0.0 &&
                          pressure == PressureState::kBrownout;
   bool pressure_holds = options_.pressure_step > 0.0 &&

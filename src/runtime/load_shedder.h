@@ -17,6 +17,8 @@
 
 namespace pipes {
 
+class OverloadGovernor;
+
 class LoadShedder {
  public:
   struct Options {
@@ -30,9 +32,10 @@ class LoadShedder {
     double max_drop = 0.95;
     /// Per-step increase of the drop probability during a QoS violation.
     double qos_step = 0.1;
-    /// Per-step increase while the metadata manager reports kBrownout; any
-    /// non-normal pressure state also suppresses relaxation. 0 disables the
-    /// pressure input entirely (default — CPU and QoS behave as before).
+    /// Per-step increase while the watched overload governor reports
+    /// kBrownout; any non-normal pressure state also suppresses relaxation.
+    /// 0 disables the pressure input entirely (default — CPU and QoS behave
+    /// as before).
     double pressure_step = 0.0;
   };
 
@@ -51,6 +54,11 @@ class LoadShedder {
   /// increases until the violation clears. This is the paper's query-level
   /// QoS specification driving a runtime adaptation.
   Status MonitorQos(SinkNode& sink);
+
+  /// Takes `governor`'s pressure state as a third raise signal (see
+  /// Options::pressure_step). The caller keeps `governor` alive for the
+  /// shedder's lifetime.
+  void WatchPressure(const OverloadGovernor& governor);
 
   /// Adds a drop operator the shedder may actuate.
   void AddShedPoint(RandomDropOperator& drop);
@@ -85,6 +93,7 @@ class LoadShedder {
   std::vector<MetadataSubscription> loads_;
   std::vector<QosWatch> qos_;
   std::vector<RandomDropOperator*> shed_points_;
+  const OverloadGovernor* pressure_ = nullptr;
   TaskHandle task_;
   double last_load_ = 0.0;
   double last_qos_ratio_ = 0.0;

@@ -2,6 +2,9 @@
 
 #include <ostream>
 
+#include "metadata/persistence.h"
+#include "runtime/overload_governor.h"
+
 namespace pipes {
 
 MetadataMonitor::MetadataMonitor(MetadataManager& manager,
@@ -31,7 +34,8 @@ Status MetadataMonitor::WatchStaleness(MetadataProvider& provider,
                        SampleKind::kStaleness, ":staleness");
 }
 
-Status MetadataMonitor::WatchPressure(std::string series_name) {
+Status MetadataMonitor::WatchPressure(const OverloadGovernor& governor,
+                                      std::string series_name) {
   if (series_name.empty()) series_name = "metadata:pressure";
   MutexLock lock(mu_);
   if (watched_.count(series_name) > 0) {
@@ -39,6 +43,7 @@ Status MetadataMonitor::WatchPressure(std::string series_name) {
   }
   Watched w;
   w.kind = SampleKind::kPressure;
+  w.governor = &governor;
   series_[series_name];  // ensure the series exists
   watched_.emplace(std::move(series_name), std::move(w));
   return Status::OK();
@@ -149,12 +154,14 @@ void MetadataMonitor::SampleOnce() {
       }
       case SampleKind::kPressure: {
         series_[name].Record(
-            now, static_cast<double>(manager_.pressure_state()));
+            now, static_cast<double>(watched.governor->state()));
         break;
       }
       case SampleKind::kDurability: {
+        MetadataDurability* d = manager_.durability();
         series_[name].Record(
-            now, static_cast<double>(manager_.stats().journal_records));
+            now, d != nullptr ? static_cast<double>(d->stats().journal_records)
+                              : 0.0);
         break;
       }
       case SampleKind::kPeerHealth: {

@@ -20,6 +20,8 @@
 
 namespace pipes {
 
+class OverloadGovernor;
+
 /// \brief Samples a set of subscribed metadata items into time series.
 class MetadataMonitor {
  public:
@@ -48,11 +50,12 @@ class MetadataMonitor {
   Status WatchStaleness(MetadataProvider& provider, const MetadataKey& key,
                         std::string series_name = "");
 
-  /// Records the manager's overload-governor state as a numeric series
-  /// (0 = normal, 1 = pressured, 2 = brownout; see PressureState). Needs no
-  /// provider or subscription — the manager itself is the source. Feeds the
-  /// LoadShedder's pressure input in the runtime wiring.
-  Status WatchPressure(std::string series_name = "metadata:pressure");
+  /// Records `governor`'s pressure state as a numeric series (0 = normal,
+  /// 1 = pressured, 2 = brownout; see PressureState). Needs no provider or
+  /// subscription. The caller keeps `governor` alive for the monitor's
+  /// lifetime (Unwatch first otherwise).
+  Status WatchPressure(const OverloadGovernor& governor,
+                       std::string series_name = "metadata:pressure");
 
   /// Records the manager's durability activity as a numeric series: the
   /// total journal records appended so far (a monotone counter; flat while
@@ -102,8 +105,9 @@ class MetadataMonitor {
 
  private:
   /// What a watched series samples from its subscription's handler (or,
-  /// for kPressure, from the manager directly — no subscription; or, for
-  /// kPeer*, from a RemoteMetadataProvider's link state).
+  /// for kPressure, from an OverloadGovernor; for kDurability, from the
+  /// manager's durability engine; for kPeer*, from a RemoteMetadataProvider's
+  /// link state — none of these has a subscription).
   enum class SampleKind {
     kValue,
     kHealth,
@@ -119,6 +123,8 @@ class MetadataMonitor {
     SampleKind kind = SampleKind::kValue;
     /// Source for kPeerHealth / kPeerLag; not owned.
     RemoteMetadataProvider* remote = nullptr;
+    /// Source for kPressure; not owned.
+    const OverloadGovernor* governor = nullptr;
   };
 
   Status WatchPeer(RemoteMetadataProvider& remote, std::string series_name,

@@ -9,6 +9,8 @@
 #include <memory>
 
 #include "metadata/handler.h"
+#include "runtime/monitor.h"
+#include "runtime/overload_governor.h"
 #include "test_support.h"
 
 namespace pipes {
@@ -49,27 +51,27 @@ TEST(OverloadTest, BrownoutStateMachineIsDeterministic) {
   auto* handler = AsPeriodic(sub);
 
   auto hot = std::make_shared<bool>(false);
-  fx.manager.SetPressureProbe([hot] { return *hot; });
-  fx.manager.EnableOverloadControl(TestGovernor());
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kNormal);
+  OverloadGovernor gov(fx.manager, fx.scheduler, TestGovernor());
+  gov.SetPressureProbe([hot] { return *hot; });
+  EXPECT_EQ(gov.state(), PressureState::kNormal);
   EXPECT_EQ(handler->effective_period(), Seconds(1));
 
   // Two hot governor ticks -> pressured, cadence stretched 2x.
   *hot = true;
   fx.RunFor(2 * 100 * kMicrosPerMilli);
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kPressured);
+  EXPECT_EQ(gov.state(), PressureState::kPressured);
   EXPECT_EQ(handler->effective_period(), 2 * Seconds(1));
 
   // Two more hot ticks -> brownout, cadence stretched 4x.
   fx.RunFor(2 * 100 * kMicrosPerMilli);
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kBrownout);
+  EXPECT_EQ(gov.state(), PressureState::kBrownout);
   EXPECT_EQ(handler->effective_period(), 4 * Seconds(1));
 
   auto stats = fx.manager.stats();
-  EXPECT_EQ(stats.pressure_enters, 1u);
-  EXPECT_EQ(stats.brownout_enters, 1u);
-  EXPECT_EQ(stats.pressure_state,
-            static_cast<int>(PressureState::kBrownout));
+  auto gstats = gov.stats();
+  EXPECT_EQ(gstats.pressure_enters, 1u);
+  EXPECT_EQ(gstats.brownout_enters, 1u);
+  EXPECT_EQ(gstats.state, PressureState::kBrownout);
   EXPECT_EQ(stats.periods_stretched, 1u);
   EXPECT_GE(stats.period_stretches, 2u);
 
@@ -77,14 +79,14 @@ TEST(OverloadTest, BrownoutStateMachineIsDeterministic) {
   // each step after a fresh run of calm ticks.
   *hot = false;
   fx.RunFor(2 * 100 * kMicrosPerMilli);
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kPressured);
+  EXPECT_EQ(gov.state(), PressureState::kPressured);
   EXPECT_EQ(handler->effective_period(), 2 * Seconds(1));
   fx.RunFor(2 * 100 * kMicrosPerMilli);
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kNormal);
+  EXPECT_EQ(gov.state(), PressureState::kNormal);
   EXPECT_EQ(handler->effective_period(), Seconds(1));
 
   stats = fx.manager.stats();
-  EXPECT_EQ(stats.pressure_exits, 1u);
+  EXPECT_EQ(gov.stats().pressure_exits, 1u);
   EXPECT_EQ(stats.periods_stretched, 0u);
   EXPECT_GE(stats.period_restores, 2u);
 }
@@ -92,26 +94,26 @@ TEST(OverloadTest, BrownoutStateMachineIsDeterministic) {
 TEST(OverloadTest, SingleCalmTickDoesNotExitPressure) {
   MetaFixture fx;
   auto hot = std::make_shared<bool>(true);
-  fx.manager.SetPressureProbe([hot] { return *hot; });
   OverloadControlOptions opts = TestGovernor();
   opts.ticks_to_brownout = 100;  // stay in kPressured for this test
-  fx.manager.EnableOverloadControl(opts);
+  OverloadGovernor gov(fx.manager, fx.scheduler, opts);
+  gov.SetPressureProbe([hot] { return *hot; });
 
   fx.RunFor(2 * 100 * kMicrosPerMilli);
-  ASSERT_EQ(fx.manager.pressure_state(), PressureState::kPressured);
+  ASSERT_EQ(gov.state(), PressureState::kPressured);
 
   // One calm tick (< ticks_to_recover) must not unwind the state; the calm
   // counter restarts when pressure returns.
   *hot = false;
   fx.RunFor(100 * kMicrosPerMilli);
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kPressured);
+  EXPECT_EQ(gov.state(), PressureState::kPressured);
   *hot = true;
   fx.RunFor(100 * kMicrosPerMilli);
   *hot = false;
   fx.RunFor(100 * kMicrosPerMilli);
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kPressured);
+  EXPECT_EQ(gov.state(), PressureState::kPressured);
   fx.RunFor(100 * kMicrosPerMilli);
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kNormal);
+  EXPECT_EQ(gov.state(), PressureState::kNormal);
 }
 
 TEST(OverloadTest, StalenessBoundCapsTheStretch) {
@@ -140,12 +142,12 @@ TEST(OverloadTest, StalenessBoundCapsTheStretch) {
   auto unbounded = fx.manager.Subscribe(p, "unbounded").value();
 
   auto hot = std::make_shared<bool>(true);
-  fx.manager.SetPressureProbe([hot] { return *hot; });
   OverloadControlOptions opts = TestGovernor();
   opts.brownout_factor = 16.0;
-  fx.manager.EnableOverloadControl(opts);
+  OverloadGovernor gov(fx.manager, fx.scheduler, opts);
+  gov.SetPressureProbe([hot] { return *hot; });
   fx.RunFor(4 * 100 * kMicrosPerMilli);
-  ASSERT_EQ(fx.manager.pressure_state(), PressureState::kBrownout);
+  ASSERT_EQ(gov.state(), PressureState::kBrownout);
 
   EXPECT_EQ(AsPeriodic(bounded)->effective_period(), 250 * kMicrosPerMilli);
   EXPECT_EQ(AsPeriodic(unbounded)->effective_period(),
@@ -172,10 +174,10 @@ TEST(OverloadTest, LateSubscriberInheritsTheCurrentStretch) {
                               }))
                   .ok());
   auto hot = std::make_shared<bool>(true);
-  fx.manager.SetPressureProbe([hot] { return *hot; });
-  fx.manager.EnableOverloadControl(TestGovernor());
+  OverloadGovernor gov(fx.manager, fx.scheduler, TestGovernor());
+  gov.SetPressureProbe([hot] { return *hot; });
   fx.RunFor(4 * 100 * kMicrosPerMilli);
-  ASSERT_EQ(fx.manager.pressure_state(), PressureState::kBrownout);
+  ASSERT_EQ(gov.state(), PressureState::kBrownout);
 
   // An item included mid-brownout starts at the degraded cadence — the
   // brownout cannot be escaped by re-subscribing.
@@ -194,15 +196,70 @@ TEST(OverloadTest, DisableRestoresCadences) {
                   .ok());
   auto sub = fx.manager.Subscribe(p, "x").value();
   auto hot = std::make_shared<bool>(true);
-  fx.manager.SetPressureProbe([hot] { return *hot; });
-  fx.manager.EnableOverloadControl(TestGovernor());
+  auto gov = std::make_unique<OverloadGovernor>(fx.manager, fx.scheduler,
+                                                TestGovernor());
+  gov->SetPressureProbe([hot] { return *hot; });
   fx.RunFor(4 * 100 * kMicrosPerMilli);
-  ASSERT_EQ(fx.manager.pressure_state(), PressureState::kBrownout);
+  ASSERT_EQ(gov->state(), PressureState::kBrownout);
   ASSERT_EQ(AsPeriodic(sub)->effective_period(), 4 * Seconds(1));
+  ASSERT_EQ(fx.manager.stats().periods_stretched, 1u);
 
-  fx.manager.DisableOverloadControl();
-  EXPECT_EQ(fx.manager.pressure_state(), PressureState::kNormal);
+  // Destroying the governor restores every cadence and clears the gauge;
+  // its tick never fires again.
+  gov.reset();
+  EXPECT_EQ(fx.manager.stats().periods_stretched, 0u);
   EXPECT_EQ(AsPeriodic(sub)->effective_period(), Seconds(1));
+  fx.RunFor(4 * 100 * kMicrosPerMilli);
+  EXPECT_EQ(AsPeriodic(sub)->effective_period(), Seconds(1));
+}
+
+TEST(OverloadTest, MonitorRecordsTheGovernorState) {
+  MetaFixture fx;
+  auto hot = std::make_shared<bool>(true);
+  OverloadGovernor gov(fx.manager, fx.scheduler, TestGovernor());
+  gov.SetPressureProbe([hot] { return *hot; });
+  MetadataMonitor monitor(fx.manager, fx.scheduler);
+  ASSERT_TRUE(monitor.WatchPressure(gov).ok());
+  monitor.SampleOnce();
+  EXPECT_EQ(monitor.LastValue("metadata:pressure"), 0.0);
+  fx.RunFor(4 * 100 * kMicrosPerMilli);
+  monitor.SampleOnce();
+  EXPECT_EQ(monitor.LastValue("metadata:pressure"),
+            static_cast<double>(PressureState::kBrownout));
+}
+
+TEST(OverloadTest, ExcludedPeriodicItemsLeaveTheCadenceRoster) {
+  MetaFixture fx;
+  SimpleProvider p("p");
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_TRUE(p.metadata_registry()
+                    .Define(MetadataDescriptor::Periodic(key, Seconds(1))
+                                .WithEvaluator([](EvalContext&) {
+                                  return MetadataValue(1.0);
+                                }))
+                    .ok());
+  }
+  // Subscription churn without a governor must not grow the roster.
+  for (int i = 0; i < 100; ++i) {
+    auto sub = fx.manager.Subscribe(p, "a").value();
+  }
+  EXPECT_EQ(fx.manager.periodic_roster_size(), 0u);
+
+  auto a = fx.manager.Subscribe(p, "a").value();
+  auto b = fx.manager.Subscribe(p, "b").value();
+  auto c = fx.manager.Subscribe(p, "c").value();
+  ASSERT_EQ(fx.manager.periodic_roster_size(), 3u);
+  // Removing the first slot moves the last entry (c) into it; removing c
+  // afterwards must find it there.
+  a.Reset();
+  c.Reset();
+  EXPECT_EQ(fx.manager.periodic_roster_size(), 1u);
+  // The survivor is still reachable by the cadence setter.
+  fx.manager.SetPeriodicCadence(2.0, 8.0);
+  EXPECT_EQ(AsPeriodic(b)->effective_period(), 2 * Seconds(1));
+  EXPECT_EQ(fx.manager.stats().periods_stretched, 1u);
+  b.Reset();
+  EXPECT_EQ(fx.manager.periodic_roster_size(), 0u);
 }
 
 // --- Storm damping ----------------------------------------------------------
@@ -294,6 +351,33 @@ TEST(OverloadTest, BreakerTripsAndResetsAfterQuiet) {
   // A whole batch interval without one event resets the breaker.
   fx.RunFor(500 * kMicrosPerMilli);
   EXPECT_EQ(fx.manager.stats().breakers_active, 0u);
+}
+
+TEST(OverloadTest, DisablingDampingResetsATrippedBreaker) {
+  StormFixture fx;
+  StormDampingOptions opts;
+  opts.max_waves_per_sec = 1.0;
+  opts.burst = 1.0;
+  opts.breaker_trip_coalesced = 10;
+  opts.breaker_batch_interval = 100 * kMicrosPerMilli;
+  fx.manager.EnableStormDamping(opts);
+  for (int i = 0; i < 11; ++i) fx.manager.FireEvent(fx.p, "src");
+  ASSERT_EQ(fx.manager.stats().breakers_active, 1u);
+
+  // The pending batch flush runs after disabling: it propagates the
+  // coalesced events and is the breaker's last chance to reset.
+  fx.manager.DisableStormDamping();
+  fx.RunFor(5 * kMicrosPerSecond);
+  auto stats = fx.manager.stats();
+  EXPECT_EQ(stats.storm_flushes, 1u);
+  EXPECT_EQ(stats.breakers_active, 0u);
+
+  // After 5 quiet seconds, re-enabling admits the next event at once.
+  fx.manager.EnableStormDamping(opts);
+  uint64_t waves_before = fx.manager.stats().waves;
+  fx.manager.FireEvent(fx.p, "src");
+  EXPECT_EQ(fx.manager.stats().waves - waves_before, 1u);
+  EXPECT_EQ(fx.manager.stats().events_coalesced, stats.events_coalesced);
 }
 
 }  // namespace

@@ -154,25 +154,6 @@ TEST(WavePlanTest, DynamicRedefinitionBumpsEpoch) {
   EXPECT_EQ(s2.wave_plan_hits, s1.wave_plan_hits);
 }
 
-TEST(WavePlanTest, NaiveRecursiveModeBypassesCache) {
-  MetaFixture fx;
-  SimpleProvider p("p");
-  auto& reg = p.metadata_registry();
-  auto evals = std::make_shared<int>(0);
-  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
-  ASSERT_TRUE(reg.Define(CountingTriggered("t1", {"base"}, evals)).ok());
-
-  auto sub = fx.manager.Subscribe(p, "t1");
-  ASSERT_TRUE(sub.ok());
-  fx.manager.set_propagation_mode(PropagationMode::kNaiveRecursive);
-  fx.manager.FireEvent(p, "base");
-  fx.manager.FireEvent(p, "base");
-  auto s = fx.manager.stats();
-  EXPECT_EQ(s.wave_plan_rebuilds, 0u);
-  EXPECT_EQ(s.wave_plan_hits, 0u);
-  EXPECT_EQ(s.wave_refreshes, 2u) << "naive mode must still refresh";
-}
-
 TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
   if (!AllocCountingActive()) {
     GTEST_SKIP() << "allocation counting disabled (sanitizer build)";

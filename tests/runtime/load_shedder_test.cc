@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "runtime/load_shedder.h"
+#include "runtime/overload_governor.h"
 #include "stream/engine.h"
 #include "stream/operators/join.h"
 #include "stream/operators/window.h"
@@ -105,7 +106,7 @@ TEST(LoadShedderTest, NoSheddingUnderCapacity) {
   EXPECT_DOUBLE_EQ(p.ldrop->drop_probability(), 0.0);
 }
 
-// Drives the shedder off the metadata manager's pressure state alone:
+// Drives the shedder off an overload governor's pressure state alone:
 // brownout raises the drop probability, pressured holds it, and — the clamp
 // regression — a raise in the same tick a relax would have fired starts from
 // the clamped value instead of a partially-relaxed (or negative) one.
@@ -113,23 +114,24 @@ TEST(LoadShedderPressureTest, PressureRaisesHoldsAndClampsBeforeRaising) {
   VirtualTimeScheduler scheduler;
   MetadataManager manager(scheduler);
   auto overloaded = std::make_shared<bool>(true);
-  manager.SetPressureProbe([overloaded] { return *overloaded; });
-  OverloadControlOptions gov;
-  gov.governor_period = 100 * kMicrosPerMilli;
-  gov.ticks_to_pressure = 1;
-  gov.ticks_to_brownout = 1;
-  gov.ticks_to_recover = 1;
-  manager.EnableOverloadControl(gov);
+  OverloadControlOptions gov_opts;
+  gov_opts.governor_period = 100 * kMicrosPerMilli;
+  gov_opts.ticks_to_pressure = 1;
+  gov_opts.ticks_to_brownout = 1;
+  gov_opts.ticks_to_recover = 1;
+  OverloadGovernor governor(manager, scheduler, gov_opts);
+  governor.SetPressureProbe([overloaded] { return *overloaded; });
 
   LoadShedder::Options opts;
   opts.cpu_capacity = 1e9;  // CPU and QoS signals stay healthy throughout.
   opts.relax_step = 0.07;
   opts.pressure_step = 0.1;
   LoadShedder shedder(manager, scheduler, opts);
+  shedder.WatchPressure(governor);
 
   // Two governor ticks under a hot probe: normal -> pressured -> brownout.
   scheduler.RunFor(200 * kMicrosPerMilli);
-  ASSERT_EQ(manager.pressure_state(), PressureState::kBrownout);
+  ASSERT_EQ(governor.state(), PressureState::kBrownout);
   shedder.ControlStep();
   EXPECT_DOUBLE_EQ(shedder.current_drop(), 0.1);
   EXPECT_EQ(shedder.activation_count(), 1u);
@@ -137,7 +139,7 @@ TEST(LoadShedderPressureTest, PressureRaisesHoldsAndClampsBeforeRaising) {
   // Calm probe: brownout -> pressured -> normal, then one relax step.
   *overloaded = false;
   scheduler.RunFor(200 * kMicrosPerMilli);
-  ASSERT_EQ(manager.pressure_state(), PressureState::kNormal);
+  ASSERT_EQ(governor.state(), PressureState::kNormal);
   shedder.ControlStep();
   EXPECT_DOUBLE_EQ(shedder.current_drop(), 0.03);
 
@@ -146,7 +148,7 @@ TEST(LoadShedderPressureTest, PressureRaisesHoldsAndClampsBeforeRaising) {
   // clamped or not) and yield 0.10 or less instead of 0.13.
   *overloaded = true;
   scheduler.RunFor(200 * kMicrosPerMilli);
-  ASSERT_EQ(manager.pressure_state(), PressureState::kBrownout);
+  ASSERT_EQ(governor.state(), PressureState::kBrownout);
   shedder.ControlStep();
   EXPECT_DOUBLE_EQ(shedder.current_drop(), 0.13);
   EXPECT_GE(shedder.current_drop(), 0.0);
@@ -155,21 +157,19 @@ TEST(LoadShedderPressureTest, PressureRaisesHoldsAndClampsBeforeRaising) {
   // relax — shedding holds while the metadata layer is still degraded.
   *overloaded = false;
   scheduler.RunFor(100 * kMicrosPerMilli);
-  ASSERT_EQ(manager.pressure_state(), PressureState::kPressured);
+  ASSERT_EQ(governor.state(), PressureState::kPressured);
   shedder.ControlStep();
   EXPECT_DOUBLE_EQ(shedder.current_drop(), 0.13);
 
   // Full recovery: relax resumes and clamps at zero, never below.
   scheduler.RunFor(100 * kMicrosPerMilli);
-  ASSERT_EQ(manager.pressure_state(), PressureState::kNormal);
+  ASSERT_EQ(governor.state(), PressureState::kNormal);
   shedder.ControlStep();
   EXPECT_DOUBLE_EQ(shedder.current_drop(), 0.06);
   shedder.ControlStep();
   EXPECT_DOUBLE_EQ(shedder.current_drop(), 0.0);
   shedder.ControlStep();
   EXPECT_DOUBLE_EQ(shedder.current_drop(), 0.0);
-
-  manager.DisableOverloadControl();
 }
 
 }  // namespace
