@@ -157,9 +157,10 @@ void BM_PropagationWave(benchmark::State& state) {
 BENCHMARK(BM_PropagationWave)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_PropagationWaveRebuild(benchmark::State& state) {
-  // Forced slow path: bump the structure epoch before every event so each
-  // wave rebuilds its plan into the manager's scratch buffers. The gap to
-  // BM_PropagationWave is the price of a structural change per wave.
+  // Forced slow path: include and exclude a triggered leaf dependent of t0
+  // before every event, which marks t0's plan stale, so each wave rebuilds
+  // it. The gap to BM_PropagationWave is the price of a structural change
+  // (inclusion, exclusion and plan rebuild) per wave.
   Fixture fx;
   int depth = static_cast<int>(state.range(0));
   double value = 0.0;
@@ -172,12 +173,16 @@ void BM_PropagationWaveRebuild(benchmark::State& state) {
             .DependsOnSelf("t" + std::to_string(i - 1))
             .WithEvaluator([](EvalContext& ctx) { return ctx.Dep(0); }));
   }
+  (void)fx.provider.metadata_registry().Define(
+      MetadataDescriptor::Triggered("leaf")
+          .DependsOnSelf("t0")
+          .WithEvaluator([](EvalContext& ctx) { return ctx.Dep(0); }));
   auto sub =
       fx.manager.Subscribe(fx.provider, "t" + std::to_string(depth - 1))
           .value();
   for (auto _ : state) {
     value += 1.0;
-    fx.manager.BumpStructureEpoch();
+    fx.manager.Subscribe(fx.provider, "leaf").value().Reset();
     fx.manager.FireEvent(fx.provider, "t0");
   }
   state.SetItemsProcessed(state.iterations() * (depth - 1));

@@ -97,7 +97,7 @@ struct WaveResult {
 /// Wall-clock propagation-wave throughput over a chain of `depth` triggered
 /// handlers: one FireEvent refreshes the whole chain through the cached wave
 /// plan. Steady state, so the plan is built once and every wave after warmup
-/// must be a pure epoch-compare + linear walk (zero heap allocations).
+/// must be a pure stale-flag test + linear walk (zero heap allocations).
 WaveResult MeasureWaves(int depth, uint64_t waves) {
   VirtualTimeScheduler scheduler;
   MetadataManager manager(scheduler);
@@ -142,7 +142,7 @@ WaveResult MeasureWaves(int depth, uint64_t waves) {
 
 void RunWaveThroughput(bool quick) {
   Banner("S4b", "steady-state propagation wave throughput",
-         "cached wave plans make an unchanged-graph wave an epoch compare "
+         "cached wave plans make an unchanged-graph wave a stale-flag test "
          "plus a linear walk: zero allocations, cost linear in chain depth");
 
   const uint64_t waves = quick ? 20000 : 200000;

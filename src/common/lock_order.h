@@ -84,19 +84,23 @@ inline constexpr int kRankDurabilityProviders = 250;
 inline constexpr int kRankOperatorState = 300;     ///< MetadataProvider::state_mu
 /// MetadataManager::wave_stripe_mu — the striped propagation locks (one per
 /// wave stripe; origins map to stripes, so waves from independent origins
-/// run concurrently). All stripes share this rank and class: a wave holds
-/// only its origin's stripe, and the rare all-stripes paths (plan rebuild,
-/// storm reconfiguration) acquire stripes in ascending index order while
-/// holding no other stripe — same-class acquisitions never form validator
-/// edges, and the ascending discipline keeps them deadlock-free.
+/// run concurrently). All stripes share this rank and class: a wave (plan
+/// rebuild included) holds only its origin's stripe, and the one
+/// all-stripes path (storm reconfiguration) acquires stripes in ascending
+/// index order while holding no other stripe — same-class acquisitions never
+/// form validator edges, and the ascending discipline keeps them
+/// deadlock-free.
 inline constexpr int kRankWaveStripe = 350;
 /// MetadataManager::periodic_mu — the periodic-handler roster and the cadence
 /// in effect. Taken under the exclusive structure lock (roster insert in
 /// Instantiate, removal in MaybeRemove) and held while stretching handler
 /// cadences (handler period locks, scheduler locks).
 inline constexpr int kRankPeriodicRoster = 360;
-inline constexpr int kRankHandlerDependents = 400; ///< MetadataHandler::dependents_mu
 inline constexpr int kRankHandlerEval = 500;       ///< MetadataHandler::eval_mu
+/// MetadataHandler::dependents_mu — a plan rebuild walks dependents under
+/// it, and a nested wave rebuilds while the firing evaluator holds eval_mu.
+/// Nothing is acquired under it.
+inline constexpr int kRankHandlerDependents = 510;
 /// PeriodicMetadataHandler::period_mu_ — guards the mechanism task handle
 /// while the overload governor swaps cadences; held across Schedule* calls.
 inline constexpr int kRankHandlerPeriod = 520;

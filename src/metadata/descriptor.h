@@ -239,9 +239,9 @@ class MetadataDescriptor {
   /// (paper §4.4.3). Overrides any DependsOn* specs.
   ///
   /// Redefining an item to change its (dynamic) dependencies — via
-  /// MetadataRegistry::Redefine / DefineOrRedefine / Undefine — bumps the
-  /// attached manager's structure epoch, so propagation waves never reuse a
-  /// wave plan cached against the old dependency shape.
+  /// MetadataRegistry::Redefine / DefineOrRedefine / Undefine — is legal only
+  /// while it is not included, so no cached wave plan can hold the old
+  /// dependency shape; the next inclusion marks the affected plans stale.
   MetadataDescriptor&& WithDynamicDependencies(DependencyResolver resolver) &&;
 
   MetadataDescriptor&& WithEvaluator(Evaluator fn) &&;

@@ -121,11 +121,6 @@ void MetadataHandler::Retire() {
   // Cancel mechanism tasks so no periodic tick can reach the evaluator (and
   // through it the dying provider) after this point.
   Deactivate();
-  // Retirement changes what waves may touch (retired handlers are skipped),
-  // so cached wave plans through this handler must not be reused. The bump
-  // is a plain atomic increment — safe without the structure lock; at worst
-  // it over-invalidates and costs one plan rebuild.
-  manager_.BumpStructureEpoch();
   // Journaled exactly once, while the owner is still alive (Retire is
   // called from the owner's registry teardown or an explicit Undefine).
   if (MetadataDurability* d = manager_.durability()) {
@@ -482,8 +477,10 @@ void TriggeredMetadataHandler::Activate(Timestamp now) {
 }
 
 void TriggeredMetadataHandler::RefreshFromWave(Timestamp now) {
-  Duration elapsed = now - last_updated();
-  EvaluateAndStore(now, elapsed);
+  // 0 while no evaluation has succeeded yet (e.g. a recovered shell), like
+  // staleness(): kTimestampNever is INT64_MIN, so `now - never` overflows.
+  Timestamp last = last_updated();
+  EvaluateAndStore(now, last == kTimestampNever ? 0 : now - last);
 }
 
 MetadataValue TriggeredMetadataHandler::DoGet(Timestamp) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <thread>
 #include <unordered_map>
 
@@ -66,9 +65,8 @@ class ScopedStripe {
  public:
   ScopedStripe(RecursiveMutex& mu, const void* manager, uint64_t bit)
       : mu_(mu), manager_(manager), bit_(bit), mask_(StripeMaskSlot(manager)) {
-    top_level_ = *mask_ == 0;
     const bool already_held = (*mask_ & bit_) != 0;
-    if (top_level_ || already_held) {
+    if (*mask_ == 0 || already_held) {
       mu_.lock();
       engaged_ = true;
     } else {
@@ -95,8 +93,6 @@ class ScopedStripe {
 
   /// False only for a contended nested cross-stripe acquisition.
   bool engaged() const { return engaged_; }
-  /// True when the thread held no stripe of this manager on entry.
-  bool top_level() const { return top_level_; }
 
  private:
   RecursiveMutex& mu_;
@@ -104,7 +100,6 @@ class ScopedStripe {
   uint64_t bit_;
   uint64_t* mask_;
   bool engaged_ = false;
-  bool top_level_ = false;
   bool newly_held_ = false;
 };
 
@@ -248,7 +243,8 @@ MetadataManager::MetadataManager(TaskScheduler& scheduler, size_t wave_stripes)
   wave_stripes = std::min<size_t>(std::max<size_t>(wave_stripes, 1), 64);
   stripes_.reserve(wave_stripes);
   for (size_t i = 0; i < wave_stripes; ++i) {
-    stripes_.push_back(std::make_unique<WaveStripe>());
+    stripes_.push_back(std::make_unique<RecursiveMutex>(
+        "MetadataManager::wave_stripe_mu", lockorder::kRankWaveStripe));
   }
 }
 
@@ -270,14 +266,15 @@ Result<MetadataSubscription> MetadataManager::Subscribe(
   Status st = PlanInclude(root, &plan, &planned, &in_path);
   if (!st.ok()) return st;
 
-  // Phase 2: instantiate handlers dependencies-first.
+  // Phase 2: instantiate handlers dependencies-first; the new dependents
+  // join the closures of the origins above them.
   Timestamp now = clock().Now();
+  std::vector<MetadataHandler*> included;
+  included.reserve(plan.size());
   for (const PlanEntry& entry : plan) {
-    Instantiate(entry, now);
+    included.push_back(Instantiate(entry, now).get());
   }
-  // New handlers (and their dependent edges) change the graph shape: cached
-  // wave plans must be rebuilt before the next wave.
-  if (!plan.empty()) BumpStructureEpoch();
+  MarkPlansStale(included);
 
   std::shared_ptr<MetadataHandler> handler =
       provider.metadata_registry().GetHandler(key);
@@ -448,7 +445,11 @@ void MetadataManager::UnsubscribeExternal(
       d->OnUnsubscribe(handler->owner(), handler->key());
     }
   }
-  MaybeRemove(handler);
+  // Removed handlers stay alive until `handler` is released, after the
+  // lock: their plans are stale before any other wave can run.
+  std::vector<MetadataHandler*> removed;
+  MaybeRemove(handler, &removed);
+  MarkPlansStale(removed);
 }
 
 void MetadataManager::CountHealthTransition(HandlerHealth from,
@@ -477,13 +478,14 @@ void MetadataManager::CountHealthTransition(HandlerHealth from,
 }
 
 void MetadataManager::MaybeRemove(
-    const std::shared_ptr<MetadataHandler>& handler) {
+    const std::shared_ptr<MetadataHandler>& handler,
+    std::vector<MetadataHandler*>* removed) {
   if (handler->external_refs_ > 0 || handler->internal_refs_ > 0) return;
 
   // The handler leaves the graph: cached wave plans may hold raw pointers to
-  // it, so invalidate them before the removal proceeds. The exclusive
-  // structure lock keeps any concurrent wave out until we are done.
-  BumpStructureEpoch();
+  // it, so the caller marks them stale before releasing the exclusive
+  // structure lock, which keeps every other wave out until then.
+  removed->push_back(handler.get());
 
   handler->Deactivate();
   // A retired handler's owner is gone (or going): its registry and the
@@ -530,7 +532,27 @@ void MetadataManager::MaybeRemove(
     dep->RemoveDependent(handler.get());
     assert(dep->internal_refs_ > 0);
     dep->internal_refs_ -= 1;
-    MaybeRemove(dep);
+    MaybeRemove(dep, removed);
+  }
+}
+
+void MetadataManager::MarkPlansStale(
+    const std::vector<MetadataHandler*>& changed) {
+  // An origin's closure holds its direct dependents, plus the dependents of
+  // every closure member that propagates through. So a changed handler is in
+  // the closure of each of its dependencies, and of every handler reachable
+  // upward from one through propagate-through handlers only.
+  std::vector<MetadataHandler*> stack;
+  std::unordered_set<MetadataHandler*> expanded;
+  for (const MetadataHandler* h : changed) {
+    for (const auto& dep : h->dependencies()) stack.push_back(dep.get());
+  }
+  while (!stack.empty()) {
+    MetadataHandler* h = stack.back();
+    stack.pop_back();
+    h->wave_plan_.stale = true;
+    if (!h->PropagatesThrough() || !expanded.insert(h).second) continue;
+    for (const auto& dep : h->dependencies()) stack.push_back(dep.get());
   }
 }
 
@@ -577,32 +599,27 @@ void MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {
 
 void MetadataManager::PropagateFrom(MetadataHandler& origin, Timestamp now) {
   SharedLock lock(structure_mu_);
-  WaveStripe& stripe = *stripes_[origin.wave_stripe_];
-  ScopedStripe hold(stripe.mu, this, uint64_t{1} << origin.wave_stripe_);
+  ScopedStripe hold(*stripes_[origin.wave_stripe_], this,
+                    uint64_t{1} << origin.wave_stripe_);
   if (!hold.engaged()) {
     // A nested wave (fired from inside another wave's refresh) crossing into
     // a stripe another thread's wave holds right now. Blocking here could
-    // deadlock two in-flight waves against each other, so hand the wave to
-    // the scheduler and let it re-fire top-level.
-    DeferWave(origin);
+    // deadlock two in-flight waves against each other, so defer: the task
+    // re-enters PropagateFrom from a worker holding no stripes, which blocks
+    // on the contended stripe instead of deferring again. weak_ptr, not
+    // &origin: the origin may retire before the task runs. Under overload
+    // the scheduler may shed the task — an acceptable loss, since metadata
+    // is last-writer-wins and the next event from this origin propagates
+    // the same state.
+    stats_waves_deferred_.fetch_add(1, std::memory_order_relaxed);
+    ScheduleWave(origin.weak_from_this(), /*count_event=*/false);
     return;
   }
   if (storm_damping_enabled_.load(std::memory_order_relaxed) &&
       !AdmitWave(origin, now)) {
     return;
   }
-  RunWaveLocked(origin, now, hold.top_level());
-}
-
-void MetadataManager::DeferWave(MetadataHandler& origin) {
-  stats_waves_deferred_.fetch_add(1, std::memory_order_relaxed);
-  // weak_ptr, not &origin: the origin may retire before the scheduler runs
-  // the task. The deferred wave re-enters PropagateFrom from a worker thread
-  // holding no stripes, so it blocks on the contended stripe instead of
-  // deferring again. Under overload the scheduler may shed the task — an
-  // acceptable loss, since metadata is last-writer-wins and the next event
-  // from this origin propagates the same state.
-  ScheduleWave(origin.weak_from_this(), /*count_event=*/false);
+  RunWaveLocked(origin, now);
 }
 
 void MetadataManager::ScheduleWave(std::weak_ptr<MetadataHandler> weak,
@@ -616,114 +633,46 @@ void MetadataManager::ScheduleWave(std::weak_ptr<MetadataHandler> weak,
   });
 }
 
-void MetadataManager::RunWaveLocked(MetadataHandler& origin, Timestamp now,
-                                    bool can_rebuild) {
-  // Fast path: on an unchanged graph, a wave is one epoch compare and a
-  // linear walk over the cached flattened plan — no set, no map, no Kahn
-  // re-run, and zero heap allocations. Read the epoch *before* any rebuild
-  // so the stamp is conservative: a structural change racing with the
-  // rebuild (possible only for lock-free bumpers like handler retirement)
-  // makes the fresh plan look stale and costs one extra rebuild, never a
-  // stale walk. Plans stay valid mid-wave because waves hold the structure
-  // lock shared while structural changes need it exclusively.
-  uint64_t epoch = structure_epoch();
+void MetadataManager::RunWaveLocked(MetadataHandler& origin, Timestamp now) {
+  // Fast path: on an unchanged graph, a wave is one flag test and a linear
+  // walk over the cached flattened plan — no set, no map, no Kahn re-run,
+  // and zero heap allocations. Plans go stale only under the exclusive
+  // structure lock, which every wave excludes by holding it shared, so no
+  // plan changes while a wave (nested ones included) walks it.
   MetadataHandler::WavePlan& plan = origin.wave_plan_;
-  if (plan.epoch != epoch && plan.walk_depth == 0) {
-    if (!can_rebuild) {
-      // Rebuilding takes ALL stripes from an empty hold set; a nested wave
-      // already holds at least one, so it cannot rebuild here. Defer instead
-      // of walking a stale plan. Counted as deferred, not as a wave.
-      DeferWave(origin);
-      return;
-    }
-    if (RebuildUnderAllStripes(origin)) {
-      stats_wave_plan_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // A concurrent rebuild won the race while our stripe was released.
-      stats_wave_plan_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    stats_wave_plan_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (plan.stale) {
+    RebuildWavePlan(origin);
+    stats_wave_plan_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   }
   stats_waves_.fetch_add(1, std::memory_order_relaxed);
 
   if (plan.refresh.empty()) return;
-  ++plan.walk_depth;
   for (MetadataHandler* h : plan.refresh) {
     RefreshContained(*h, now);
   }
-  --plan.walk_depth;
   stats_wave_refreshes_.fetch_add(plan.refresh.size(),
                                   std::memory_order_relaxed);
 }
 
-bool MetadataManager::RebuildUnderAllStripes(MetadataHandler& origin) {
-  // The plan closure may span handlers pinned to any stripe (its wave_mark_
-  // and wave_indegree_ scratch fields are written during a rebuild), so a
-  // rebuild quiesces every stripe. Deadlock-free by construction: release
-  // the origin's stripe first, then acquire all stripes in ascending index
-  // order from an empty hold set — every all-stripes path in the manager
-  // ascends the same way.
-  WaveStripe& origin_stripe = *stripes_[origin.wave_stripe_];
-  uint64_t* mask = StripeMaskSlot(this);
-  const uint64_t origin_bit = uint64_t{1} << origin.wave_stripe_;
-  assert(*mask == origin_bit && "rebuild caller must hold exactly its stripe");
-  *mask &= ~origin_bit;
-  origin_stripe.mu.unlock();
-
-  for (auto& s : stripes_) s->mu.lock();
-  *mask |= (stripes_.size() == 64)
-               ? ~uint64_t{0}
-               : ((uint64_t{1} << stripes_.size()) - 1);
-
-  // Re-check staleness: another thread may have rebuilt this origin's plan
-  // during the unlocked window above.
-  const uint64_t epoch = structure_epoch();
-  const bool rebuilt =
-      origin.wave_plan_.epoch != epoch && origin.wave_plan_.walk_depth == 0;
-  if (rebuilt) RebuildWavePlan(origin, epoch);
-
-  // Release every stripe but the origin's; the caller continues its wave
-  // holding exactly what it held before.
-  for (size_t i = 0; i < stripes_.size(); ++i) {
-    if (i == origin.wave_stripe_) continue;
-    *mask &= ~(uint64_t{1} << i);
-    stripes_[i]->mu.unlock();
-  }
-  *mask = origin_bit;
-  return rebuilt;
-}
-
-void MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
+void MetadataManager::RebuildWavePlan(MetadataHandler& origin) {
   // Collect the affected closure: dependents reachable through triggered and
   // on-demand handlers. Periodic handlers update on their own cadence and
   // static handlers never change, so the wave does not continue past them.
-  // Membership ("visited") is a per-handler stamp compare against this
-  // rebuild's wave stamp — no hash set, nothing to clear. The stamp counter
-  // is atomic so stamps stay process-unique, but the marks themselves are
-  // plain fields: rebuilds serialize on the all-stripes discipline.
-  const uint64_t stamp =
-      wave_stamp_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Scratch lives in the origin's stripe (sized once, reused forever). The
-  // lambdas below are analyzed as separate functions by Clang TSA, which
-  // cannot see this frame's dynamic stripe capability; bind the buffers here.
-  WaveStripe& stripe = *stripes_[origin.wave_stripe_];
-  std::vector<MetadataHandler*>& closure = stripe.scratch_closure;
-  std::vector<MetadataHandler*>& ready = stripe.scratch_ready;
+  // The scratch is this rebuild's own: the closure in discovery order, and
+  // each member's in-degree within the closure (membership = has an entry).
+  std::vector<MetadataHandler*> closure;
+  std::unordered_map<MetadataHandler*, int> indegree;
 
   // Iterate a handler's dependents in place (under its dependents lock,
   // rank above the wave stripes) instead of via dependents(), whose snapshot
-  // copy would allocate per handler per rebuild.
+  // copy would allocate per handler.
   auto for_each_dependent = [](MetadataHandler& h, auto&& fn) {
     MutexLock deps_lock(h.dependents_mu_);
     for (MetadataHandler* d : h.dependents_) fn(d);
   };
 
-  closure.clear();
   auto discover = [&](MetadataHandler* d) {
-    if (d->wave_mark_ == stamp) return;
-    d->wave_mark_ = stamp;
-    closure.push_back(d);
+    if (indegree.emplace(d, 0).second) closure.push_back(d);
   };
   for_each_dependent(origin, discover);
   for (size_t i = 0; i < closure.size(); ++i) {
@@ -734,42 +683,36 @@ void MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
 
   MetadataHandler::WavePlan& plan = origin.wave_plan_;
   plan.refresh.clear();
-  plan.epoch = epoch;
+  plan.stale = false;
   if (closure.empty()) return;
 
   // Order the closure topologically (dependencies-first): Kahn's algorithm
-  // over the dependency edges restricted to the closure, with in-degrees in
-  // the handlers' scratch field and the ready queue consumed by index. This
-  // is the paper's "update order is basically determined by the inverted
-  // dependency graph" (§3.2.3); flattening only the triggered handlers into
-  // the plan guarantees each refreshes at most once per wave with all its
-  // affected inputs already up to date.
+  // over the dependency edges restricted to the closure, with the ready
+  // queue consumed by index. This is the paper's "update order is basically
+  // determined by the inverted dependency graph" (§3.2.3); flattening only
+  // the triggered handlers into the plan guarantees each refreshes at most
+  // once per wave with all its affected inputs already up to date.
   for (MetadataHandler* h : closure) {
-    int deg = 0;
+    int& deg = indegree[h];
     for (const auto& dep : h->dependencies()) {
-      if (dep->wave_mark_ == stamp) ++deg;
+      deg += static_cast<int>(indegree.count(dep.get()));
     }
-    h->wave_indegree_ = deg;
   }
-  ready.clear();
+  std::vector<MetadataHandler*> ready;
   for (MetadataHandler* h : closure) {
-    if (h->wave_indegree_ == 0) ready.push_back(h);
+    if (indegree[h] == 0) ready.push_back(h);
   }
-  size_t processed = 0;
   for (size_t i = 0; i < ready.size(); ++i) {
     MetadataHandler* h = ready[i];
-    ++processed;
     if (h->mechanism() == UpdateMechanism::kTriggered) {
       plan.refresh.push_back(h);
     }
     for_each_dependent(*h, [&](MetadataHandler* d) {
-      if (d->wave_mark_ == stamp && --d->wave_indegree_ == 0) {
-        ready.push_back(d);
-      }
+      auto it = indegree.find(d);
+      if (it != indegree.end() && --it->second == 0) ready.push_back(d);
     });
   }
-  assert(processed == closure.size() && "dependency cycle in propagation");
-  (void)processed;
+  assert(ready.size() == closure.size() && "dependency cycle in propagation");
 }
 
 // ---------------------------------------------------------------------------
@@ -780,11 +723,11 @@ void MetadataManager::EnableStormDamping(const StormDampingOptions& opts) {
   assert(opts.max_waves_per_sec > 0 && "damping needs a positive wave budget");
   // Writing the options must quiesce every stripe: admission decisions read
   // them under whichever stripe the wave holds. All stripes, ascending, from
-  // an empty hold set — the same discipline as a plan rebuild.
-  for (auto& s : stripes_) s->mu.lock();
+  // an empty hold set, so no two all-stripes writers can deadlock.
+  for (auto& s : stripes_) s->lock();
   storm_options_ = opts;
   storm_damping_enabled_.store(true, std::memory_order_relaxed);
-  for (auto& s : stripes_) s->mu.unlock();
+  for (auto& s : stripes_) s->unlock();
 }
 
 void MetadataManager::DisableStormDamping() {
@@ -863,8 +806,8 @@ void MetadataManager::FlushStorm(const std::weak_ptr<MetadataHandler>& weak) {
   SharedLock lock(structure_mu_);
   // A flush runs as a scheduler task, so it holds no stripes on entry: the
   // ScopedStripe blocks (top-level) and always engages.
-  WaveStripe& stripe = *stripes_[origin->wave_stripe_];
-  ScopedStripe hold(stripe.mu, this, uint64_t{1} << origin->wave_stripe_);
+  ScopedStripe hold(*stripes_[origin->wave_stripe_], this,
+                    uint64_t{1} << origin->wave_stripe_);
   MetadataHandler::StormState& st = origin->storm_;
   st.flush_scheduled = false;
 
@@ -880,7 +823,7 @@ void MetadataManager::FlushStorm(const std::weak_ptr<MetadataHandler>& weak) {
   st.coalesced_run = 0;
   st.tokens = std::max(0.0, st.tokens - 1.0);
   stats_storm_flushes_.fetch_add(1, std::memory_order_relaxed);
-  RunWaveLocked(*origin, now, /*can_rebuild=*/true);
+  RunWaveLocked(*origin, now);
 
   // A tripped origin keeps batch-refreshing on the breaker cadence; the
   // quiet-interval branch above is the only way out while damping is on.
@@ -942,9 +885,11 @@ MetadataManagerStats MetadataManager::stats() const {
   s.waves = stats_waves_.load(std::memory_order_relaxed);
   s.wave_refreshes = stats_wave_refreshes_.load(std::memory_order_relaxed);
   s.events_fired = stats_events_.load(std::memory_order_relaxed);
-  s.wave_plan_hits = stats_wave_plan_hits_.load(std::memory_order_relaxed);
   s.wave_plan_rebuilds =
       stats_wave_plan_rebuilds_.load(std::memory_order_relaxed);
+  // Every wave that did not rebuild walked its cached plan (saturating: the
+  // two relaxed counters are read one after the other).
+  s.wave_plan_hits = s.waves - std::min(s.waves, s.wave_plan_rebuilds);
   s.wave_stripes = stripes_.size();
   s.waves_deferred = stats_waves_deferred_.load(std::memory_order_relaxed);
   s.eval_failures = stats_eval_failures_.load(std::memory_order_relaxed);

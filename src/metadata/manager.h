@@ -88,7 +88,7 @@ struct MetadataManagerStats {
   uint64_t wave_plan_rebuilds = 0; ///< waves that re-derived their plan
   uint64_t wave_stripes = 0;       ///< striped propagation locks (gauge)
   /// Nested cross-stripe waves handed to the scheduler instead of blocking
-  /// (stripe busy, or a stale plan discovered from a nested frame).
+  /// on a stripe another thread's wave holds.
   uint64_t waves_deferred = 0;
 
   // Fault containment (see HandlerHealth / RetryPolicy).
@@ -300,27 +300,6 @@ class MetadataManager {
   /// transition counters and the degraded/quarantined gauges.
   void CountHealthTransition(HandlerHealth from, HandlerHealth to);
 
-  /// \name Structure epoch (wave-plan cache invalidation)
-  ///
-  /// A monotonically increasing counter bumped by every structural change to
-  /// the dependency graph: inclusion, exclusion, handler retirement, and
-  /// dynamic-dependency redefinition in a provider's registry. Cached wave
-  /// plans (MetadataHandler::WavePlan) are stamped with the epoch they were
-  /// built at; PropagateFrom reuses a plan only when its stamp equals the
-  /// current epoch, so a stale plan — which may hold raw pointers to removed
-  /// handlers — is never walked. Bumping is a single relaxed atomic
-  /// increment: callers that cannot take the structure lock (retirement,
-  /// registry redefinition) may still bump, at worst over-invalidating one
-  /// cached plan.
-  ///@{
-  void BumpStructureEpoch() {
-    structure_epoch_.fetch_add(1, std::memory_order_release);
-  }
-  uint64_t structure_epoch() const {
-    return structure_epoch_.load(std::memory_order_acquire);
-  }
-  ///@}
-
  private:
   friend class MetadataSubscription;
   friend class MetadataDurability;
@@ -353,25 +332,34 @@ class MetadataManager {
   /// its now-unneeded dependencies) when the last reference is gone.
   void UnsubscribeExternal(const std::shared_ptr<MetadataHandler>& handler);
 
-  /// Removes `handler` if it has neither external nor internal references.
-  void MaybeRemove(const std::shared_ptr<MetadataHandler>& handler)
+  /// Removes `handler` if it has neither external nor internal references,
+  /// appending every handler it removes to `removed`.
+  void MaybeRemove(const std::shared_ptr<MetadataHandler>& handler,
+                   std::vector<MetadataHandler*>* removed)
+      PIPES_REQUIRES(structure_mu_);
+
+  /// \brief Marks stale the cached wave plan of every origin whose affected
+  /// closure contains one of `changed` (the handlers one subscription
+  /// included, or one unsubscription excluded; all still alive).
+  ///
+  /// Walks up from their dependencies, continuing past a handler only when
+  /// it propagates through — the inverse of RebuildWavePlan's closure rule.
+  /// One walk per operation, run after its last instantiation or removal,
+  /// so each handler is expanded once and a wave fired from an activation
+  /// hook in between cannot leave a plan current. Plans of origins the
+  /// change cannot reach stay cached.
+  void MarkPlansStale(const std::vector<MetadataHandler*>& changed)
       PIPES_REQUIRES(structure_mu_);
 
   /// Refreshes one handler in a wave with exception containment, so a
   /// faulting refresh cannot abort the wave.
   void RefreshContained(MetadataHandler& h, Timestamp now);
 
-  /// \brief Runs the wave proper (post-admission): the planned refresh
-  /// walk. Caller holds at least a shared structure lock and the origin's
-  /// wave stripe (a dynamic capability Clang TSA cannot express; the runtime
-  /// lock-order validator covers the discipline instead).
-  ///
-  /// `can_rebuild` is true only for top-level waves (the thread held no
-  /// stripe of this manager on entry): a stale plan then triggers the
-  /// all-stripes rebuild. A nested frame finding a stale plan defers the
-  /// wave to the scheduler instead — it may already hold other stripes, so
-  /// it must not block for the full stripe set.
-  void RunWaveLocked(MetadataHandler& origin, Timestamp now, bool can_rebuild)
+  /// \brief Runs the wave proper (post-admission): rebuilds a stale plan,
+  /// then walks it. Caller holds at least a shared structure lock and the
+  /// origin's wave stripe (a dynamic capability Clang TSA cannot express;
+  /// the runtime lock-order validator covers the discipline instead).
+  void RunWaveLocked(MetadataHandler& origin, Timestamp now)
       PIPES_NO_THREAD_SAFETY_ANALYSIS;
 
   /// \brief Storm-damping admission for a wave originating at `origin`.
@@ -396,15 +384,6 @@ class MetadataManager {
   void FlushStorm(const std::weak_ptr<MetadataHandler>& weak)
       PIPES_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// \brief Re-fires `origin`'s wave as a scheduler task running top-level.
-  ///
-  /// Used when a nested wave cannot take its origin's stripe without risking
-  /// an ABBA cycle (stripe held by another in-flight wave) or needs a plan
-  /// rebuild it must not block for. Under scheduler admission control the
-  /// deferred wave may be shed like any other one-shot — consistent with the
-  /// overload contract.
-  void DeferWave(MetadataHandler& origin);
-
   /// Schedules a top-level wave from `weak` at the current time; dropped if
   /// the handler is gone or retired by then. `count_event` counts it as a
   /// fired event.
@@ -419,34 +398,15 @@ class MetadataManager {
   void InjectRecoveredValue(MetadataHandler& handler, const MetadataValue& v,
                             Timestamp ts);
 
-  /// \brief Rebuilds `origin`'s cached wave plan against `epoch`.
+  /// \brief Rebuilds `origin`'s stale wave plan.
   ///
   /// Derives the affected closure (BFS over dependents through
   /// propagate-through handlers) and Kahn-orders its triggered handlers into
-  /// `origin.wave_plan_.refresh`, reusing the origin stripe's scratch
-  /// buffers and per-handler `wave_mark_`/`wave_indegree_` fields instead of
-  /// allocating per-wave hash containers. Caller holds ALL wave stripes (the
-  /// per-handler scratch fields are shared between closures, so a rebuild
-  /// must exclude every in-flight wave) and at least a shared structure lock
-  /// (so the graph cannot change shape underneath; `epoch` was read before
-  /// the rebuild, making the stamp conservative).
-  void RebuildWavePlan(MetadataHandler& origin, uint64_t epoch)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// \brief All-stripes rebuild dance for a top-level wave that found a
-  /// stale plan.
-  ///
-  /// The caller holds exactly the origin's stripe. That stripe is released
-  /// first, then every stripe is taken in ascending index order (blocking
-  /// from an empty hold set can never deadlock: every other holder either
-  /// also ascends from nothing or holds a single stripe it will release
-  /// without blocking on a second one), the staleness check is repeated (a
-  /// concurrent rebuild may have won the race during the unlocked window),
-  /// and the non-origin stripes are released again — the caller continues
-  /// its walk under the origin stripe alone. Returns true when this call did
-  /// the rebuild.
-  bool RebuildUnderAllStripes(MetadataHandler& origin)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
+  /// `origin.wave_plan_.refresh`. The scratch is local to the rebuild, so
+  /// rebuilds from different origins share nothing writable: the caller
+  /// holds the origin's stripe and a shared structure lock (the graph cannot
+  /// change shape underneath), and no other stripe.
+  void RebuildWavePlan(MetadataHandler& origin) PIPES_NO_THREAD_SAFETY_ANALYSIS;
 
   TaskScheduler& scheduler_;
   /// Graph-level lock of the three-level scheme (§4.2). Outer to the
@@ -454,46 +414,21 @@ class MetadataManager {
   ReentrantSharedMutex structure_mu_{"MetadataManager::structure_mu",
                                      lockorder::kRankMetadataStructure};
 
-  /// \brief One propagation stripe: the wave lock shared by the origins
-  /// mapped to this stripe, plus the rebuild scratch their plan rebuilds
-  /// reuse (owned per stripe so steady-state rebuilds allocate nothing once
-  /// the buffers reached the high-water closure size).
+  /// \brief Striped propagation locks, each shared by the origins mapped
+  /// to its stripe.
   ///
-  /// Stripe protocol (DESIGN.md §3.9): a steady-state wave holds only its
-  /// origin's stripe; a plan rebuild takes every stripe in ascending index
-  /// order from an empty hold set; a nested wave (fired by a refresh
-  /// evaluator) re-enters its own stripe recursively but only try-locks a
-  /// foreign stripe, deferring the wave to the scheduler on contention.
-  struct WaveStripe {
-    /// Recursive: a wave refresh may synchronously fire a nested event on
-    /// an origin of the same stripe (§3.2.3).
-    RecursiveMutex mu{"MetadataManager::wave_stripe_mu",
-                      lockorder::kRankWaveStripe};
-    /// BFS closure of the current rebuild (affected handlers, discovery
-    /// order).
-    std::vector<MetadataHandler*> scratch_closure PIPES_GUARDED_BY(mu);
-    /// Kahn ready-queue of the current rebuild (consumed by index).
-    std::vector<MetadataHandler*> scratch_ready PIPES_GUARDED_BY(mu);
-  };
-
-  /// Striped propagation locks. Sized in the constructor, never resized;
-  /// unique_ptr keeps stripe addresses stable for the validator.
+  /// Stripe protocol (DESIGN.md §3.9): a wave — plan rebuild included —
+  /// holds only its origin's stripe; a nested wave (fired by a refresh
+  /// evaluator) re-enters its own stripe recursively (§3.2.3) but only
+  /// try-locks a foreign stripe, deferring the wave to the scheduler on
+  /// contention. Sized in the constructor, never resized; unique_ptr keeps
+  /// stripe addresses stable for the validator.
   // pipes-analyze: unguarded(sized in the ctor, never resized; stripes are internally locked)
-  std::vector<std::unique_ptr<WaveStripe>> stripes_;
+  std::vector<std::unique_ptr<RecursiveMutex>> stripes_;
   /// Round-robin stripe assignment for newly included handlers (mutated
   /// under the exclusive structure lock, atomic so lock-free readers of the
   /// counter — none today — stay well-defined).
   std::atomic<uint64_t> stripe_seq_{0};
-
-  /// Current structure epoch; see BumpStructureEpoch().
-  std::atomic<uint64_t> structure_epoch_{1};
-
-  /// Stamp source for `MetadataHandler::wave_mark_`: incremented per plan
-  /// rebuild, so closure-membership tests are one compare and never need
-  /// clearing. Atomic: rebuilds from different origins draw stamps
-  /// concurrently (the per-handler scratch itself is protected by the
-  /// all-stripes rebuild discipline).
-  std::atomic<uint64_t> wave_stamp_{0};
 
   /// \name Periodic-handler roster (see SetPeriodicCadence)
   ///
@@ -530,7 +465,6 @@ class MetadataManager {
   std::atomic<uint64_t> stats_evaluations_{0};
   std::atomic<uint64_t> stats_waves_{0};
   std::atomic<uint64_t> stats_wave_refreshes_{0};
-  std::atomic<uint64_t> stats_wave_plan_hits_{0};
   std::atomic<uint64_t> stats_wave_plan_rebuilds_{0};
   std::atomic<uint64_t> stats_waves_deferred_{0};
   std::atomic<uint64_t> stats_events_{0};

@@ -276,8 +276,8 @@ class MetadataDurability {
   /// tails in place, then rebuilds: (A) descriptors — re-used when the
   /// application already re-defined the key, otherwise defined as recovered
   /// shells; (B) subscriptions via the ordinary Subscribe path (which
-  /// rebuilds the dependency graph and wave plans through the structure
-  /// epoch machinery); (C) last-known-good values injected with timestamps
+  /// rebuilds the dependency graph and marks the affected wave plans
+  /// stale); (C) last-known-good values injected with timestamps
   /// mapped through the clock's wall anchor, so staleness is real age
   /// across the restart.
   static Result<RecoveryReport> Recover(

@@ -83,9 +83,7 @@ class MetadataRegistry {
   void RemoveHandler(const MetadataKey& key);
 
   /// Ties this registry to the manager serving its provider's graph, so that
-  /// successful dynamic redefinitions (Redefine / DefineOrRedefine /
-  /// Undefine — the metadata-inheritance facility of §4.4.2) invalidate the
-  /// manager's cached wave plans via a structure-epoch bump. Called by
+  /// definition changes reach the manager's durability journal. Called by
   /// MetadataProvider::AttachMetadataManager; idempotent.
   void AttachManager(MetadataManager* manager);
 
@@ -102,9 +100,6 @@ class MetadataRegistry {
   void RetireAllHandlers();
 
  private:
-  /// Bumps the attached manager's structure epoch (no-op before attachment).
-  void BumpManagerEpoch();
-
   /// The attached manager's durability engine (nullptr while durability is
   /// off or no manager and owner are attached).
   MetadataDurability* Durability() const;
@@ -130,8 +125,7 @@ class MetadataRegistry {
   std::map<MetadataKey, std::shared_ptr<MetadataHandler>> handlers_
       PIPES_GUARDED_BY(mu_);
   /// The manager of this provider's graph (nullptr until first inclusion or
-  /// explicit attachment). BumpStructureEpoch is a bare atomic increment, so
-  /// calling it under mu_ (rank 450) cannot violate the lock order.
+  /// explicit attachment).
   std::atomic<MetadataManager*> manager_{nullptr};
   /// The owning provider (set once at construction, before concurrency).
   const MetadataProvider* owner_ = nullptr;

@@ -196,10 +196,11 @@ TEST(MetadataConcurrencyTest, StormDampingUnderConcurrentFireEvent) {
 TEST(MetadataConcurrencyTest, ConcurrentWavesAcrossStripesWithStructureChurn) {
   // The striped-propagation stress: origins pinned to distinct stripes fire
   // concurrently (waves from independent origins hold different stripe
-  // locks) while a churn thread subscribes/unsubscribes and redefines other
-  // items, bumping the structure epoch so in-flight origins keep hitting the
-  // all-stripes rebuild path. Run under TSan this exercises every stripe
-  // transition: steady wave, rebuild, nested defer, storm-free admission.
+  // locks) while a churn thread subscribes/unsubscribes and redefines a
+  // triggered dependent of each origin in turn, so in-flight origins keep
+  // finding their plans stale and rebuilding them under their own stripe.
+  // Run under TSan this exercises steady waves, rebuilds beside waves on
+  // other stripes, and storm-free admission.
   ThreadPoolScheduler scheduler(4);
   MetadataManager manager(scheduler, /*wave_stripes=*/4);
   constexpr int kOrigins = 4;
@@ -208,6 +209,11 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesAcrossStripesWithStructureChurn) {
   std::vector<std::unique_ptr<SimpleProvider>> providers;
   std::vector<MetadataSubscription> subs;
   std::atomic<int64_t> state{1};
+  auto churn_item = [](int64_t round) {
+    return MetadataDescriptor::Triggered("churn")
+        .DependsOnSelf("s")
+        .WithEvaluator([round](EvalContext&) { return MetadataValue(round); });
+  };
   for (int i = 0; i < kOrigins; ++i) {
     auto p = std::make_unique<SimpleProvider>("p" + std::to_string(i));
     auto& reg = p->metadata_registry();
@@ -222,8 +228,7 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesAcrossStripesWithStructureChurn) {
                                  return ctx.Dep(0);
                                }))
                     .ok());
-    ASSERT_TRUE(
-        reg.Define(MetadataDescriptor::Static("churn", 1.0)).ok());
+    ASSERT_TRUE(reg.Define(churn_item(0)).ok());
     auto sub = manager.Subscribe(*p, "t");
     ASSERT_TRUE(sub.ok());
     subs.push_back(std::move(sub.value()));
@@ -238,13 +243,10 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesAcrossStripesWithStructureChurn) {
       {
         auto sub = manager.Subscribe(p, "churn");
         ASSERT_TRUE(sub.ok());
-        // Subscribe and the end-of-scope unsubscribe each bump the epoch.
+        // Subscribe and the end-of-scope unsubscribe each stale the plan.
       }
-      // Redefinition (legal only while excluded) bumps the epoch once more.
-      ASSERT_TRUE(p.metadata_registry()
-                      .Redefine(MetadataDescriptor::Static(
-                          "churn", double(round)))
-                      .ok());
+      // Redefinition is legal only while excluded.
+      ASSERT_TRUE(p.metadata_registry().Redefine(churn_item(round)).ok());
       ++round;
     }
   });
@@ -273,11 +275,11 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesAcrossStripesWithStructureChurn) {
   }
 }
 
-TEST(MetadataConcurrencyTest, NestedCrossOriginWaveDefersInsteadOfBlocking) {
+TEST(MetadataConcurrencyTest, NestedCrossOriginWaveBuildsItsPlanInline) {
   // A wave evaluator firing an event on another origin starts a *nested*
-  // wave. Its plan has never been built (stale), and a nested frame cannot
-  // take all stripes to rebuild — the wave must be deferred to the
-  // scheduler and re-fired top-level, not walked stale or deadlocked on.
+  // wave on another stripe. Its plan has never been built; the rebuild
+  // needs only the nested origin's (uncontended) stripe, so the nested wave
+  // builds the plan and runs inline instead of being deferred.
   ThreadPoolScheduler scheduler(2);
   MetadataManager manager(scheduler, /*wave_stripes=*/2);
   SimpleProvider p("p");
@@ -296,14 +298,14 @@ TEST(MetadataConcurrencyTest, NestedCrossOriginWaveDefersInsteadOfBlocking) {
                                return ctx.Dep(0);
                              }))
                   .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("pad", 0.0)).ok());
   ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sa").WithEvaluator(
                   [&state](EvalContext&) {
                     return MetadataValue(state.load());
                   }))
                   .ok());
   // ta's refresh fires an event on sb — a nested wave from inside a wave.
-  // Armed only after subscription: the activation evaluation runs under the
-  // exclusive structure lock, where firing would be a reentrant upgrade.
+  // Armed only after subscription, so the activation evaluation stays quiet.
   ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("ta")
                              .DependsOnSelf("sa")
                              .WithEvaluator([&](EvalContext& ctx) {
@@ -314,24 +316,96 @@ TEST(MetadataConcurrencyTest, NestedCrossOriginWaveDefersInsteadOfBlocking) {
                              }))
                   .ok());
 
+  // Stripes are assigned round-robin in inclusion order: sb -> 0, tb -> 1,
+  // pad -> 0, sa -> 1, so the two origins sit on different stripes.
   auto sub_b = manager.Subscribe(p, "tb");
+  auto sub_pad = manager.Subscribe(p, "pad");
   auto sub_a = manager.Subscribe(p, "ta");
   ASSERT_TRUE(sub_b.ok());
+  ASSERT_TRUE(sub_pad.ok());
   ASSERT_TRUE(sub_a.ok());
   armed.store(true, std::memory_order_release);
 
   state.store(42);
   manager.FireEvent(p, "sa");
 
+  // The nested refresh already happened when FireEvent returned.
+  EXPECT_EQ(sub_b->Get().AsInt(), 42);
   MetadataManagerStats st = manager.stats();
-  EXPECT_GE(st.waves_deferred, 1u)
-      << "the nested cross-origin wave must defer (stale plan, held stripe)";
+  EXPECT_EQ(st.waves_deferred, 0u);
+  EXPECT_EQ(st.waves, 2u);
+  EXPECT_EQ(st.wave_plan_rebuilds, 2u);
+}
 
-  // The deferred wave re-fires from a pool worker and completes the refresh.
-  for (int i = 0; i < 2000 && sub_b->Get().AsInt() < 42; ++i) {
+TEST(MetadataConcurrencyTest, NestedWaveOnABusyStripeDefersUntilItIsFree) {
+  // Thread T parks in tx's evaluator, inside a wave from origin sx, so it
+  // holds sx's stripe. A wave from sa (the other stripe) then fires sx from
+  // ta's evaluator: blocking on sx's stripe while holding sa's could close
+  // an ABBA cycle, so the nested wave is deferred to the scheduler. It
+  // completes once T leaves the stripe.
+  ThreadPoolScheduler scheduler(2);
+  MetadataManager manager(scheduler, /*wave_stripes=*/2);
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  std::atomic<bool> armed{false};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> tx_evals{0};
+
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sx").WithEvaluator(
+                  [](EvalContext&) { return MetadataValue(int64_t{1}); }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("tx")
+                             .DependsOnSelf("sx")
+                             .WithEvaluator([&](EvalContext& ctx) {
+                               // The first armed evaluation parks.
+                               if (armed.load(std::memory_order_acquire) &&
+                                   tx_evals.fetch_add(1) == 0) {
+                                 parked.store(true);
+                                 while (!release.load()) {
+                                   std::this_thread::yield();
+                                 }
+                               }
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("pad", 0.0)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sa").WithEvaluator(
+                  [](EvalContext&) { return MetadataValue(int64_t{1}); }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("ta")
+                             .DependsOnSelf("sa")
+                             .WithEvaluator([&](EvalContext& ctx) {
+                               if (armed.load(std::memory_order_acquire)) {
+                                 manager.FireEvent(p, "sx");
+                               }
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+
+  // Round-robin stripes: sx -> 0, tx -> 1, pad -> 0, sa -> 1.
+  auto sub_x = manager.Subscribe(p, "tx");
+  auto sub_pad = manager.Subscribe(p, "pad");
+  auto sub_a = manager.Subscribe(p, "ta");
+  ASSERT_TRUE(sub_x.ok());
+  ASSERT_TRUE(sub_pad.ok());
+  ASSERT_TRUE(sub_a.ok());
+  armed.store(true, std::memory_order_release);
+
+  std::thread holder([&] { manager.FireEvent(p, "sx"); });
+  while (!parked.load()) std::this_thread::yield();
+
+  manager.FireEvent(p, "sa");
+  EXPECT_EQ(manager.stats().waves_deferred, 1u);
+  EXPECT_EQ(tx_evals.load(), 1) << "the deferred wave must wait for the stripe";
+
+  release.store(true);
+  holder.join();
+  for (int i = 0; i < 2000 && tx_evals.load() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(sub_b->Get().AsInt(), 42);
+  EXPECT_EQ(tx_evals.load(), 2) << "the deferred wave completes afterwards";
+  EXPECT_EQ(manager.stats().waves_deferred, 1u);
 }
 
 TEST(MetadataConcurrencyTest, SeqlockReadersSeeNoTornNumericValues) {

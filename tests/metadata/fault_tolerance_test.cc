@@ -336,6 +336,37 @@ TEST(FaultToleranceTest, TriggeredActivationFailureFallsBack) {
   EXPECT_GE(sub.handler()->fault_count(), 1u);
 }
 
+TEST(FaultToleranceTest, WaveAfterFailedActivationSeesZeroElapsed) {
+  // No evaluation has succeeded yet, so last_updated() is still
+  // kTimestampNever: the first wave refresh must report elapsed() 0 (as
+  // staleness() does), not the overflowed difference to INT64_MIN.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  auto activated = std::make_shared<bool>(false);
+  auto seen = std::make_shared<std::vector<Duration>>();
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("x")
+                             .DependsOnSelf("base")
+                             .WithEvaluator([activated, seen](
+                                                EvalContext& ctx) {
+                               if (!*activated) {
+                                 *activated = true;
+                                 throw std::runtime_error("boom at activation");
+                               }
+                               seen->push_back(ctx.elapsed());
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "x").value();  // activation eval fails
+  ASSERT_EQ(sub.handler()->last_updated(), kTimestampNever);
+
+  fx.RunFor(1000);
+  fx.manager.FireEvent(p, "base");
+  ASSERT_EQ(seen->size(), 1u);
+  EXPECT_EQ((*seen)[0], 0);
+}
+
 TEST(FaultToleranceTest, FaultInjectorIsDeterministic) {
   FaultInjector a(1234), b(1234);
   FaultSpec spec;

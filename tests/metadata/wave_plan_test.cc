@@ -1,7 +1,7 @@
-/// Cached wave plans and structure-epoch invalidation: steady-state waves
-/// reuse the per-origin flattened plan (zero heap allocations), and every
-/// structural change — inclusion, exclusion, retirement, dynamic
-/// redefinition — bumps the epoch so the next wave rebuilds.
+/// Cached wave plans and per-origin staleness: steady-state waves reuse the
+/// per-origin flattened plan (zero heap allocations), and an inclusion or
+/// exclusion marks stale exactly the plans whose closure it changes, so
+/// only their next wave rebuilds.
 
 #include <gtest/gtest.h>
 
@@ -32,23 +32,89 @@ MetadataDescriptor CountingTriggered(const MetadataKey& key,
       });
 }
 
-TEST(WavePlanTest, SubscribeAndUnsubscribeBumpEpoch) {
+TEST(WavePlanTest, UnrelatedSubscribeLeavesOtherPlansCached) {
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  auto evals = std::make_shared<int>(0);
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base_a", 1.0)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base_b", 1.0)).ok());
+  ASSERT_TRUE(reg.Define(CountingTriggered("ta", {"base_a"}, evals)).ok());
+  ASSERT_TRUE(reg.Define(CountingTriggered("tb", {"base_b"}, evals)).ok());
+
+  auto sub = fx.manager.Subscribe(p, "ta");
+  ASSERT_TRUE(sub.ok());
+  fx.manager.FireEvent(p, "base_a");  // builds base_a's plan
+  ASSERT_EQ(fx.manager.stats().wave_plan_rebuilds, 1u);
+
+  // A subscription and its reset on another origin's closure change nothing
+  // base_a's plan covers.
+  auto other = fx.manager.Subscribe(p, "tb");
+  ASSERT_TRUE(other.ok());
+  other.value().Reset();
+
+  fx.manager.FireEvent(p, "base_a");
+  auto s = fx.manager.stats();
+  EXPECT_EQ(s.wave_plan_rebuilds, 1u) << "unrelated churn must not rebuild";
+  EXPECT_EQ(s.wave_plan_hits, 1u);
+}
+
+TEST(WavePlanTest, InclusionBelowAPropagatingHandlerStalesTheOrigin) {
+  // base -> t1 (triggered) -> late: `late` is not a direct dependent of
+  // base, but waves from base continue through t1, so base's plan must be
+  // rebuilt to refresh it.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  auto evals = std::make_shared<int>(0);
+  auto late_evals = std::make_shared<int>(0);
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
+  ASSERT_TRUE(reg.Define(CountingTriggered("t1", {"base"}, evals)).ok());
+  ASSERT_TRUE(reg.Define(CountingTriggered("late", {"t1"}, late_evals)).ok());
+
+  auto sub = fx.manager.Subscribe(p, "t1");
+  ASSERT_TRUE(sub.ok());
+  fx.manager.FireEvent(p, "base");
+  ASSERT_EQ(fx.manager.stats().wave_plan_rebuilds, 1u);
+
+  auto sub2 = fx.manager.Subscribe(p, "late");
+  ASSERT_TRUE(sub2.ok());
+  *late_evals = 0;  // drop the activation evaluation
+  fx.manager.FireEvent(p, "base");
+  EXPECT_EQ(fx.manager.stats().wave_plan_rebuilds, 2u);
+  EXPECT_EQ(*late_evals, 1) << "rebuilt plan must reach through t1";
+}
+
+TEST(WavePlanTest, InclusionBelowAPeriodicHandlerLeavesTheOriginCached) {
+  // base -> per (periodic) -> t: waves from base stop at the periodic item,
+  // so including t changes nothing base's plan covers.
   MetaFixture fx;
   SimpleProvider p("p");
   auto& reg = p.metadata_registry();
   auto evals = std::make_shared<int>(0);
   ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
-  ASSERT_TRUE(reg.Define(CountingTriggered("t1", {"base"}, evals)).ok());
+  ASSERT_TRUE(reg.Define(CountingTriggered("t0", {"base"}, evals)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Periodic("per", kMicrosPerSecond)
+                             .DependsOnSelf("base")
+                             .WithEvaluator([](EvalContext& ctx) {
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(CountingTriggered("t", {"per"}, evals)).ok());
 
-  uint64_t e0 = fx.manager.structure_epoch();
-  auto sub = fx.manager.Subscribe(p, "t1");
+  auto sub0 = fx.manager.Subscribe(p, "t0");
+  auto sub_per = fx.manager.Subscribe(p, "per");
+  ASSERT_TRUE(sub0.ok());
+  ASSERT_TRUE(sub_per.ok());
+  fx.manager.FireEvent(p, "base");
+  ASSERT_EQ(fx.manager.stats().wave_plan_rebuilds, 1u);
+
+  auto sub = fx.manager.Subscribe(p, "t");
   ASSERT_TRUE(sub.ok());
-  uint64_t e1 = fx.manager.structure_epoch();
-  EXPECT_GT(e1, e0) << "inclusion must invalidate cached wave plans";
-
-  sub.value().Reset();
-  uint64_t e2 = fx.manager.structure_epoch();
-  EXPECT_GT(e2, e1) << "exclusion must invalidate cached wave plans";
+  fx.manager.FireEvent(p, "base");
+  auto s = fx.manager.stats();
+  EXPECT_EQ(s.wave_plan_rebuilds, 1u);
+  EXPECT_EQ(s.wave_plan_hits, 1u);
 }
 
 TEST(WavePlanTest, SteadyStateWavesHitTheCachedPlan) {
@@ -111,7 +177,9 @@ TEST(WavePlanTest, SubscribeBetweenWavesRebuildsPlan) {
   EXPECT_EQ(*late_evals, 0);
 }
 
-TEST(WavePlanTest, DynamicRedefinitionBumpsEpoch) {
+TEST(WavePlanTest, RedefinitionLeavesPlansCurrent) {
+  // Only items that are not included can be (re)defined or undefined, so no
+  // cached plan can reach them: the next wave still hits.
   MetaFixture fx;
   SimpleProvider p("p");
   auto& reg = p.metadata_registry();
@@ -125,33 +193,21 @@ TEST(WavePlanTest, DynamicRedefinitionBumpsEpoch) {
   // The registry only learns its manager on first inclusion.
   auto sub = fx.manager.Subscribe(p, "t1");
   ASSERT_TRUE(sub.ok());
+  fx.manager.FireEvent(p, "base");
+  auto s1 = fx.manager.stats();
+  ASSERT_EQ(s1.wave_plan_rebuilds, 1u);
 
-  uint64_t e0 = fx.manager.structure_epoch();
   ASSERT_TRUE(reg.Redefine(MetadataDescriptor::OnDemand("spare").WithEvaluator(
                                [](EvalContext&) { return MetadataValue(1.0); }))
                   .ok());
-  uint64_t e1 = fx.manager.structure_epoch();
-  EXPECT_GT(e1, e0) << "Redefine must invalidate cached wave plans";
-
   ASSERT_TRUE(
       reg.DefineOrRedefine(MetadataDescriptor::Static("fresh", 2.0)).ok());
-  uint64_t e2 = fx.manager.structure_epoch();
-  EXPECT_GT(e2, e1) << "DefineOrRedefine must invalidate cached wave plans";
-
   ASSERT_TRUE(reg.Undefine("fresh").ok());
-  uint64_t e3 = fx.manager.structure_epoch();
-  EXPECT_GT(e3, e2) << "Undefine must invalidate cached wave plans";
 
-  // And the next wave indeed rebuilds instead of hitting.
-  fx.manager.FireEvent(p, "base");
-  auto s1 = fx.manager.stats();
-  ASSERT_TRUE(reg.Redefine(MetadataDescriptor::OnDemand("spare").WithEvaluator(
-                               [](EvalContext&) { return MetadataValue(2.0); }))
-                  .ok());
   fx.manager.FireEvent(p, "base");
   auto s2 = fx.manager.stats();
-  EXPECT_EQ(s2.wave_plan_rebuilds, s1.wave_plan_rebuilds + 1);
-  EXPECT_EQ(s2.wave_plan_hits, s1.wave_plan_hits);
+  EXPECT_EQ(s2.wave_plan_rebuilds, s1.wave_plan_rebuilds);
+  EXPECT_EQ(s2.wave_plan_hits, s1.wave_plan_hits + 1);
 }
 
 TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
@@ -172,8 +228,8 @@ TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
   auto sub = fx.manager.Subscribe(p, prev);
   ASSERT_TRUE(sub.ok());
 
-  // Warm up: builds the plan, grows scratch buffers, faults in thread-local
-  // state of the lock-order validator.
+  // Warm up: builds the plan, faults in thread-local state of the
+  // lock-order validator.
   for (int i = 0; i < 3; ++i) fx.manager.FireEvent(p, "base");
 
   ScopedAllocCounter counter;
@@ -238,10 +294,10 @@ TEST(WaveStripeTest, IndependentOriginsCacheIndependentPlans) {
   EXPECT_EQ(s2.waves_deferred, 0u);
 }
 
-TEST(WaveStripeTest, CrossStripeClosureRebuildsUnderAllStripes) {
-  // A wave whose closure spans handlers pinned to other stripes (the rebuild
-  // writes their wave_mark_/wave_indegree_ scratch) must still produce a
-  // correct topological plan — the rebuild path quiesces all stripes.
+TEST(WaveStripeTest, CrossStripeClosureRebuildsUnderTheOriginStripe) {
+  // A wave whose closure spans handlers pinned to other stripes must still
+  // produce a correct topological plan, although the rebuild holds only the
+  // origin's stripe (its scratch is local, so it writes nothing shared).
   VirtualTimeScheduler sched;
   MetadataManager manager(sched, /*wave_stripes=*/4);
   SimpleProvider p("p");
